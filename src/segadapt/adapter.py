@@ -253,23 +253,9 @@ def trainable_predicate(method: str) -> Callable[[str], bool]:
 
 def apply_freeze_policy(model: SegmentationModel, method: str) -> tuple[int, int]:
     """Set trainability by name; returns (trainable, total) parameter counts."""
-    model.registry.set_trainable(trainable_predicate(method))
-    return _count_split(model.registry)
-
-
-def trainable_fraction(model: SegmentationModel) -> float:
-    trainable, total = _count_split(model.registry)
-    return trainable / total
-
-
-def _count_split(registry: ParameterRegistry) -> tuple[int, int]:
-    trainable = total = 0
-    for name in registry.names():
-        n = registry.get(name).data.size
-        total += n
-        if registry.param(name).trainable:
-            trainable += n
-    return trainable, total
+    reg = model.registry
+    reg.set_trainable(trainable_predicate(method))
+    return reg.param_count(trainable_only=True), reg.param_count()
 
 
 def adapter_param_count(cfg: AdapterConfig, token_dim: int, layer_count: int) -> int:

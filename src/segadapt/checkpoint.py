@@ -14,6 +14,7 @@ adapter-only files under the "adapter." prefix).
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -73,11 +74,17 @@ def load_bytes(data: bytes) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", r.read(2, "name length"))
-        name = r.read(name_len, "name").decode("utf-8")
+        offset = r.offset
+        try:
+            name = r.read(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"parameter name at offset {offset} is not valid UTF-8") from None
+        if name in out:
+            raise FormatError(f"duplicate parameter name {name!r} at offset {offset}")
         (rank,) = struct.unpack("<B", r.read(1, "rank"))
         shape = struct.unpack(f"<{rank}I", r.read(4 * rank, "extents"))
-        n_values = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        raw = r.read(4 * n_values, f"values of {name!r}")
+        # Python ints: the extent product must not wrap before the size check.
+        raw = r.read(4 * math.prod(shape), f"values of {name!r}")
         out[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
     if r.offset != len(data):
         raise FormatError(f"trailing bytes at offset {r.offset}")

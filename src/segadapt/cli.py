@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .adapter import AdapterConfig, adapter_param_count, attach_decoder_adapter
@@ -127,13 +128,7 @@ def _cmd_paramcount(args) -> None:
     cfg = load_config(args.config) if args.config else default_config()
     model = SegmentationModel(cfg.model)
     before = model.registry.param_count()
-    adapter_cfg = (
-        cfg.adapter if cfg.adapter.placement == "decoder"
-        else AdapterConfig(
-            num_prompts=cfg.adapter.num_prompts, prompt_dim=cfg.adapter.prompt_dim,
-            key_dim=cfg.adapter.key_dim, value_dim=cfg.adapter.value_dim,
-        )
-    )
+    adapter_cfg = replace(cfg.adapter, placement="decoder")
     attach_decoder_adapter(model, adapter_cfg)
     measured = model.registry.param_count() - before
     formula = adapter_param_count(adapter_cfg, cfg.model.dec_dim, cfg.model.dec_depth)

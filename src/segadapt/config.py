@@ -9,8 +9,11 @@ absent keys fall back to the section defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .adapter import METHODS, AdapterConfig, LoraConfig
 from .data import DomainConfig, SplitSizes, default_source_domain, default_target_domain
@@ -123,31 +126,49 @@ def default_config() -> RunConfig:
     return RunConfig()
 
 
-def _coerce(cls, default, payload: dict):
-    """Strict overlay of a JSON object onto a frozen dataclass instance."""
+def _matches(value, hint) -> bool:
+    """Whether a JSON value fits a field's type hint; bools are not numbers."""
+    origin = get_origin(hint)
+    if origin in (Union, UnionType):
+        return any(_matches(value, arg) for arg in get_args(hint))
+    if origin is tuple:
+        args = get_args(hint)
+        if not isinstance(value, (list, tuple)):
+            return False
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(value)
+        return len(value) == len(args) and all(map(_matches, value, args))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, hint)
+
+
+def overlay(default, payload: dict):
+    """Strict overlay of a JSON object onto a frozen dataclass instance.
+
+    Keys must name fields and values must fit the field types; JSON lists
+    become tuples.
+    """
+    cls = type(default)
     if not isinstance(payload, dict):
         raise ValidationError(f"{cls.__name__} section must be an object, got {type(payload).__name__}")
-    allowed = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(payload) - set(allowed))
+    hints = get_type_hints(cls)
+    unknown = sorted(set(payload) - {f.name for f in fields(cls)})
     if unknown:
         raise ValidationError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
     updates = {}
     for key, value in payload.items():
-        current = getattr(default, key)
-        if isinstance(current, tuple) and isinstance(value, list):
-            value = tuple(value)
-        updates[key] = value
+        hint = hints[key]
+        if not _matches(value, hint):
+            expected = hint if get_origin(hint) else hint.__name__
+            raise ValidationError(f"{cls.__name__}.{key} must be {expected}, got {value!r}")
+        updates[key] = tuple(value) if isinstance(value, list) else value
     return replace(default, **updates)
 
 
-_SECTIONS = {
-    "model": (ModelConfig, lambda cfg: cfg.model),
-    "adapter": (AdapterConfig, lambda cfg: cfg.adapter),
-    "lora": (LoraConfig, lambda cfg: cfg.lora),
-    "loss": (LossConfig, lambda cfg: cfg.loss),
-    "train": (TrainSettings, lambda cfg: cfg.train),
-    "ttda": (TTDASettings, lambda cfg: cfg.ttda),
-}
+_SECTIONS = ("model", "adapter", "lora", "loss", "train", "ttda")
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -158,9 +179,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ValidationError(f"unknown config sections: {', '.join(unknown)}")
-    sections = {}
-    for name, (cls, getter) in _SECTIONS.items():
-        sections[name] = _coerce(cls, getter(base), doc.get(name, {}))
+    sections = {name: overlay(getattr(base, name), doc.get(name, {})) for name in _SECTIONS}
     data_doc = doc.get("data", {})
     if not isinstance(data_doc, dict):
         raise ValidationError("data section must be an object")
@@ -168,9 +187,9 @@ def config_from_dict(doc: dict) -> RunConfig:
     if unknown:
         raise ValidationError(f"unknown data keys: {', '.join(unknown)}")
     data = DataSettings(
-        source=_coerce(DomainConfig, base.data.source, data_doc.get("source", {})),
-        target=_coerce(DomainConfig, base.data.target, data_doc.get("target", {})),
-        sizes=_coerce(SplitSizes, base.data.sizes, data_doc.get("sizes", {})),
+        source=overlay(base.data.source, data_doc.get("source", {})),
+        target=overlay(base.data.target, data_doc.get("target", {})),
+        sizes=overlay(base.data.sizes, data_doc.get("sizes", {})),
     )
     cfg = RunConfig(
         version=doc.get("version", CONFIG_VERSION),

@@ -30,15 +30,17 @@ from .adapter import (
     attach_lora,
 )
 from .checkpoint import dump_bytes, restore
-from .config import RunConfig, config_to_dict
+from .config import RunConfig, config_to_dict, overlay
 from .data import Sample, load_manifest, load_split
 from .errors import ContractError, IntegrityError, ValidationError
 from .losses import (
     compute_iou,
     confident_entropy_loss,
+    mask_from_logits,
     proximity_loss,
     slice_contrastive_loss,
     supervised_loss,
+    weighted_sum,
 )
 from .model import ModelConfig, PromptSet, SegmentationModel
 from .params import AdamWState, adamw_step
@@ -170,45 +172,43 @@ def load_model(checkpoint: str | Path) -> tuple[SegmentationModel, dict]:
     meta = json.loads(meta_path.read_text())
     if meta.get("meta_version") != META_VERSION:
         raise ValidationError(f"unsupported checkpoint meta version in {meta_path}")
-    model = SegmentationModel(ModelConfig(**meta["model"]))
-    if meta.get("adapter"):
-        acfg = AdapterConfig(**meta["adapter"])
-        if acfg.placement == "decoder":
-            attach_decoder_adapter(model, acfg)
-        else:
-            attach_encoder_adapter(model, acfg)
-    if meta.get("lora"):
-        raw = dict(meta["lora"])
-        raw["targets"] = tuple(raw["targets"])
-        attach_lora(model, LoraConfig(**raw))
-    apply_freeze_policy(model, meta["method"])
+    model = SegmentationModel(overlay(ModelConfig(), meta["model"]))
+    adapter_cfg = overlay(AdapterConfig(), meta["adapter"]) if meta.get("adapter") else None
+    lora_cfg = overlay(LoraConfig(), meta["lora"]) if meta.get("lora") else None
+    attach_method(model, meta["method"], adapter_cfg, lora_cfg)
     restore(model.registry, path)
     return model, meta
 
 
+def attach_method(
+    model: SegmentationModel,
+    method: str,
+    adapter_cfg: AdapterConfig | None,
+    lora_cfg: LoraConfig | None,
+    seed: int = 0,
+) -> tuple[AdapterConfig | None, LoraConfig | None]:
+    """Wire a method's mechanism and freeze policy onto the model.
+
+    Returns the (adapter, LoRA) configs the method used; the other is None.
+    """
+    placement = {"sam_da_dec": "decoder", "sam_da_enc": "encoder"}.get(method)
+    if placement is not None:
+        if adapter_cfg is None:
+            raise ValidationError(f"method {method!r} needs an adapter config")
+        adapter_cfg = replace(adapter_cfg, placement=placement)
+        attach = attach_decoder_adapter if placement == "decoder" else attach_encoder_adapter
+        attach(model, adapter_cfg, seed=seed)
+        return adapter_cfg, None
+    if method == "lora":
+        if lora_cfg is None:
+            raise ValidationError("method 'lora' needs a LoRA config")
+        attach_lora(model, lora_cfg, seed=seed)
+        return None, lora_cfg
+    apply_freeze_policy(model, method)
+    return None, None
+
+
 # -- supervised training -------------------------------------------------------------
-
-
-def _trainable_counts(model: SegmentationModel) -> tuple[int, int]:
-    return model.registry.param_count(trainable_only=True), model.registry.param_count()
-
-
-def _attach_for_method(model: SegmentationModel, cfg: RunConfig):
-    """Wire the method's mechanism and freeze policy; returns configs used."""
-    method = cfg.train.method
-    adapter_cfg = lora_cfg = None
-    if method == "sam_da_dec":
-        adapter_cfg = replace(cfg.adapter, placement="decoder")
-        attach_decoder_adapter(model, adapter_cfg, seed=cfg.train.seed)
-    elif method == "sam_da_enc":
-        adapter_cfg = replace(cfg.adapter, placement="encoder")
-        attach_encoder_adapter(model, adapter_cfg, seed=cfg.train.seed)
-    elif method == "lora":
-        lora_cfg = cfg.lora
-        attach_lora(model, lora_cfg, seed=cfg.train.seed)
-    else:
-        apply_freeze_policy(model, method)
-    return adapter_cfg, lora_cfg
 
 
 def _chunks(order: np.ndarray, size: int):
@@ -243,8 +243,10 @@ def train_supervised(cfg: RunConfig, data_root: str | Path, out_dir: str | Path)
         if not init_path.exists():
             raise ValidationError(f"init_from checkpoint not found: {init_path}")
         restore(model.registry, init_path)
-    adapter_cfg, lora_cfg = _attach_for_method(model, cfg)
-    trainable, total = _trainable_counts(model)
+    adapter_cfg, lora_cfg = attach_method(
+        model, cfg.train.method, cfg.adapter, cfg.lora, seed=cfg.train.seed
+    )
+    trainable, total = model.registry.param_count(trainable_only=True), model.registry.param_count()
 
     frozen_before = {
         name: model.registry.get(name).data.copy()
@@ -355,6 +357,80 @@ def _group_by_volume(samples: Sequence[Sample]) -> dict[int, dict[int, Sample]]:
     return volumes
 
 
+def _ttda_sample(
+    model: SegmentationModel,
+    s: Sample,
+    volume: dict[int, Sample],
+    cfg: RunConfig,
+    adapt: bool,
+    unadapted_embedding: Callable[[Sample], np.ndarray],
+) -> dict:
+    """Adapt the model to one sample and return the sample's record.
+
+    Leaves the adapted weights in place; the caller restores them.  A sample
+    whose weighted loss has no terms stays unadapted.
+    """
+    settings = cfg.ttda
+    q = cfg.loss.confidence_fraction
+    prompts = interior_prompt(s.mask, prompt_rng(settings.seed, s.volume_id, s.slice_index))
+    with no_grad():
+        first = model.forward(s.image, prompts)
+        entropy_before = confident_entropy_loss(first.logits, q).item()
+    snapshot = first.logits.data
+    iou_before = compute_iou(mask_from_logits(snapshot), s.mask)
+
+    entropy_after = entropy_before
+    iou_after = iou_before
+    if adapt:
+        pos_idx = next(
+            (
+                s.slice_index + d
+                for d in (settings.positive_offset, -settings.positive_offset)
+                if s.slice_index + d in volume
+            ),
+            None,
+        )
+        neg_idxs = [
+            i for i in sorted(volume) if abs(i - s.slice_index) >= settings.negative_min_offset
+        ]
+        positive = unadapted_embedding(volume[pos_idx]) if pos_idx is not None else None
+        negatives = [unadapted_embedding(volume[i]) for i in neg_idxs]
+
+        opt = AdamWState(lr=settings.lr, weight_decay=0.0)
+        for _ in range(settings.iterations):
+            out = model.forward(s.image, prompts)
+            entropy = confident_entropy_loss(out.logits, q)
+            proximity = proximity_loss(
+                out.logits, snapshot, gamma=cfg.loss.focal_gamma, smooth=cfg.loss.dice_smooth
+            )
+            terms = [(settings.lambda_entropy, entropy), (settings.lambda_proximity, proximity)]
+            if positive is not None and negatives:
+                contrastive = slice_contrastive_loss(
+                    out.dense.mean(axis=0), positive, negatives, temperature=cfg.loss.temperature
+                )
+                terms.append((settings.lambda_contrastive, contrastive))
+            loss = weighted_sum(terms)
+            if loss is None:
+                break  # no weighted term applies to this sample: it stays unadapted
+            backward(loss)
+            model.registry.fill_missing_grads()
+            adamw_step(model.registry, opt)
+        else:
+            with no_grad():
+                final = model.forward(s.image, prompts)
+                entropy_after = confident_entropy_loss(final.logits, q).item()
+            iou_after = compute_iou(mask_from_logits(final.logits.data), s.mask)
+
+    return {
+        "volume_id": s.volume_id,
+        "slice_index": s.slice_index,
+        "iou_before": iou_before,
+        "iou_after": iou_after,
+        "entropy_before": entropy_before,
+        "entropy_after": entropy_after,
+    }
+
+
 def run_ttda(
     checkpoint: str | Path,
     data_root: str | Path,
@@ -377,17 +453,10 @@ def run_ttda(
 
     model, meta = load_model(checkpoint)
     if not any(n.startswith("adapter.") for n in model.registry.names()):
-        attach_decoder_adapter(
-            model, replace(cfg.adapter, placement="decoder"), seed=settings.seed
-        )
+        attach_method(model, "sam_da_dec", cfg.adapter, None, seed=settings.seed)
     reference = dump_bytes(model.registry)
 
-    q = cfg.loss.confidence_fraction
-    adapt = (settings.lambda_entropy, settings.lambda_proximity, settings.lambda_contrastive) != (
-        0.0,
-        0.0,
-        0.0,
-    )
+    adapt = any((settings.lambda_entropy, settings.lambda_proximity, settings.lambda_contrastive))
     # Pooled slice embeddings of the unadapted model, shared across samples.
     embed_cache: dict[tuple[int, int], np.ndarray] = {}
 
@@ -402,83 +471,7 @@ def run_ttda(
 
     records = []
     for s in samples:
-        prompts = interior_prompt(s.mask, prompt_rng(settings.seed, s.volume_id, s.slice_index))
-        with no_grad():
-            first = model.forward(s.image, prompts)
-            entropy_before = confident_entropy_loss(first.logits, q).item()
-        snapshot_probs = 1.0 / (1.0 + np.exp(-first.logits.data.astype(np.float64)))
-        iou_before = compute_iou(snapshot_probs >= 0.5, s.mask)
-
-        entropy_after = entropy_before
-        iou_after = iou_before
-        if adapt:
-            volume = volumes[s.volume_id]
-            pos_idx = next(
-                (
-                    s.slice_index + d
-                    for d in (settings.positive_offset, -settings.positive_offset)
-                    if s.slice_index + d in volume
-                ),
-                None,
-            )
-            neg_idxs = [
-                i for i in sorted(volume) if abs(i - s.slice_index) >= settings.negative_min_offset
-            ]
-            positive = unadapted_embedding(volume[pos_idx]) if pos_idx is not None else None
-            negatives = [unadapted_embedding(volume[i]) for i in neg_idxs]
-
-            opt = AdamWState(lr=settings.lr, weight_decay=0.0)
-            for _ in range(settings.iterations):
-                out = model.forward(s.image, prompts)
-                loss = None
-
-                def accumulate(weight: float, term):
-                    nonlocal loss
-                    if weight == 0.0:
-                        return
-                    term = term * weight
-                    loss = term if loss is None else loss + term
-
-                accumulate(settings.lambda_entropy, confident_entropy_loss(out.logits, q))
-                accumulate(
-                    settings.lambda_proximity,
-                    proximity_loss(
-                        out.logits,
-                        snapshot_probs,
-                        gamma=cfg.loss.focal_gamma,
-                        smooth=cfg.loss.dice_smooth,
-                    ),
-                )
-                if positive is not None and negatives:
-                    accumulate(
-                        settings.lambda_contrastive,
-                        slice_contrastive_loss(
-                            out.dense.mean(axis=0),
-                            positive,
-                            negatives,
-                            temperature=cfg.loss.temperature,
-                        ),
-                    )
-                backward(loss)
-                model.registry.fill_missing_grads()
-                adamw_step(model.registry, opt)
-
-            with no_grad():
-                final = model.forward(s.image, prompts)
-                entropy_after = confident_entropy_loss(final.logits, q).item()
-            iou_after = compute_iou(final.logits.data >= 0.0, s.mask)
-
-        records.append(
-            {
-                "volume_id": s.volume_id,
-                "slice_index": s.slice_index,
-                "iou_before": iou_before,
-                "iou_after": iou_after,
-                "entropy_before": entropy_before,
-                "entropy_after": entropy_after,
-            }
-        )
-
+        records.append(_ttda_sample(model, s, volumes[s.volume_id], cfg, adapt, unadapted_embedding))
         restore(model.registry, reference)
         if dump_bytes(model.registry) != reference:
             raise IntegrityError(

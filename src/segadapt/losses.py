@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -33,6 +34,11 @@ def _check_target(logits: Tensor, target: np.ndarray) -> np.ndarray:
     if target.shape != logits.shape:
         raise DimensionError(f"target shape {target.shape} != logits shape {logits.shape}")
     return target.astype(logits.dtype)
+
+
+def mask_from_logits(logits: np.ndarray) -> np.ndarray:
+    """The one binarization rule: a pixel is foreground where its logit is >= 0."""
+    return np.asarray(logits) >= 0
 
 
 def compute_iou(pred_mask: np.ndarray, target_mask: np.ndarray) -> float:
@@ -81,16 +87,27 @@ def focal_loss(logits: Tensor, target: np.ndarray, gamma: float = 2.0) -> Tensor
 def iou_match_loss(iou_pred: Tensor, logits: Tensor, target: np.ndarray) -> Tensor:
     """Squared error between the predicted IoU and the IoU actually achieved.
 
-    The achieved IoU (prediction binarized at probability 0.5) is treated as
-    a constant, so gradients reach the IoU head only.
+    The achieved IoU (of the binarized prediction) is treated as a constant,
+    so gradients reach the IoU head only.
     """
     if iou_pred.data.size != 1:
         raise DimensionError(f"iou_pred must be scalar, got shape {iou_pred.shape}")
     t = _check_target(logits, target)
-    with np.errstate(over="ignore"):
-        probs = 1.0 / (1.0 + np.exp(-logits.data))
-    actual = compute_iou(probs >= 0.5, t >= 0.5)
+    actual = compute_iou(mask_from_logits(logits.data), t >= 0.5)
     return (iou_pred - actual) ** 2.0
+
+
+def weighted_sum(terms: Iterable[tuple[float, Tensor]]) -> Tensor | None:
+    """Left fold of ``term * weight`` over (weight, term) pairs.
+
+    Zero-weight terms are dropped; None when no term remains.
+    """
+    total = None
+    for weight, term in terms:
+        if weight != 0.0:
+            scaled = term * weight
+            total = scaled if total is None else total + scaled
+    return total
 
 
 def supervised_loss(
@@ -100,19 +117,13 @@ def supervised_loss(
     cfg: LossConfig = LossConfig(),
 ) -> tuple[Tensor, dict[str, float]]:
     """Weighted dice + cross-entropy + IoU-match total; zero weights drop terms."""
-    parts: dict[str, float] = {}
-    total: Tensor | None = None
-
-    def accumulate(weight: float, term: Tensor, name: str):
-        nonlocal total
-        parts[name] = term.item()
-        if weight != 0.0:
-            scaled = weight * term
-            total = scaled if total is None else total + scaled
-
-    accumulate(cfg.dice_weight, dice_loss(logits, target, smooth=cfg.dice_smooth), "dice")
-    accumulate(cfg.ce_weight, cross_entropy_loss(logits, target), "cross_entropy")
-    accumulate(cfg.iou_weight, iou_match_loss(iou_pred, logits, target), "iou_match")
+    terms = {
+        "dice": (cfg.dice_weight, dice_loss(logits, target, smooth=cfg.dice_smooth)),
+        "cross_entropy": (cfg.ce_weight, cross_entropy_loss(logits, target)),
+        "iou_match": (cfg.iou_weight, iou_match_loss(iou_pred, logits, target)),
+    }
+    parts = {name: term.item() for name, (_, term) in terms.items()}
+    total = weighted_sum(terms.values())
     if total is None:
         total = Tensor(np.asarray(0.0, dtype=logits.dtype))
     parts["total"] = total.item()
@@ -149,16 +160,16 @@ def confident_entropy_loss(logits: Tensor, fraction: float = 0.7) -> Tensor:
 
 def proximity_loss(
     logits: Tensor,
-    initial_probs: np.ndarray,
+    snapshot_logits: np.ndarray,
     gamma: float = 2.0,
     smooth: float = 1.0,
 ) -> Tensor:
-    """Focal + dice against the snapshot prediction binarized at 0.5.
+    """Focal + dice against the binarized snapshot prediction.
 
     Anchors adapted predictions to the pre-adaptation output; the snapshot is
     a constant.
     """
-    pseudo = (np.asarray(initial_probs) >= 0.5).astype(logits.dtype)
+    pseudo = mask_from_logits(snapshot_logits).astype(logits.dtype)
     return focal_loss(logits, pseudo, gamma=gamma) + dice_loss(logits, pseudo, smooth=smooth)
 
 

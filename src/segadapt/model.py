@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, ValidationError
+from .losses import mask_from_logits
 from .params import Init, ParameterRegistry
 from .tensor import (
     Tensor,
@@ -136,13 +137,8 @@ class MaskPrediction:
     iou_pred: float
 
     @property
-    def probabilities(self) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(-self.logits))
-
-    @property
     def mask(self) -> np.ndarray:
-        return self.probabilities >= 0.5
+        return mask_from_logits(self.logits)
 
 
 class SegmentationModel:
@@ -379,8 +375,3 @@ class SegmentationModel:
         with no_grad():
             result = self.forward(image, prompts)
         return MaskPrediction(logits=result.logits.data.copy(), iou_pred=result.iou_pred.item())
-
-    def predict_batch(self, images: Sequence[np.ndarray], prompt_sets: Sequence[PromptSet]) -> list[MaskPrediction]:
-        if len(images) != len(prompt_sets):
-            raise DimensionError(f"batch mismatch: {len(images)} images, {len(prompt_sets)} prompt sets")
-        return [self.predict(img, ps) for img, ps in zip(images, prompt_sets)]

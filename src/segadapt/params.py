@@ -23,8 +23,6 @@ class Init:
 
     kind: str
     std: float = 0.0
-    low: float = 0.0
-    high: float = 0.0
     value: float = 0.0
 
     @staticmethod
@@ -44,17 +42,9 @@ class Init:
         return Init("normal", std=std)
 
     @staticmethod
-    def uniform(low: float, high: float) -> "Init":
-        return Init("uniform", low=low, high=high)
-
-    @staticmethod
     def lecun() -> "Init":
         """Normal with std 1/sqrt(fan_in); fan_in is the first extent."""
         return Init("lecun")
-
-    @property
-    def is_random(self) -> bool:
-        return self.kind in ("normal", "uniform", "lecun")
 
     def materialize(self, shape: tuple[int, ...], rng: np.random.Generator | None, dtype):
         if self.kind == "zeros":
@@ -67,8 +57,6 @@ class Init:
             return np.eye(shape[0], dtype=dtype)
         if self.kind == "normal":
             return (rng.standard_normal(shape) * self.std).astype(dtype)
-        if self.kind == "uniform":
-            return rng.uniform(self.low, self.high, size=shape).astype(dtype)
         if self.kind == "lecun":
             fan_in = shape[0] if shape else 1
             return (rng.standard_normal(shape) / np.sqrt(fan_in)).astype(dtype)
@@ -167,10 +155,6 @@ class ParameterRegistry:
             for p in self._params.values()
             if p.trainable or not trainable_only
         )
-
-
-def param_count(registry: ParameterRegistry, trainable_only: bool = False) -> int:
-    return registry.param_count(trainable_only=trainable_only)
 
 
 # -- AdamW ---------------------------------------------------------------------

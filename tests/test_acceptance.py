@@ -274,7 +274,7 @@ def test_criterion_2_gradient_fidelity(criterion):
     )
     prox_model = adapted_model()
     with no_grad():
-        snapshot = 1.0 / (1.0 + np.exp(-prox_model.forward(image, prompts).logits.data))
+        snapshot = prox_model.forward(image, prompts).logits.data
     errors["proximity"] = finite_diff_check(
         lambda: proximity_loss(prox_model.forward(image, prompts).logits, snapshot),
         prox_model.registry,

@@ -20,7 +20,6 @@ from segadapt.adapter import (
     attach_lora,
     declare_adapter_layer,
     lora_param_count,
-    trainable_fraction,
     trainable_predicate,
 )
 from segadapt.errors import ContractError, ValidationError
@@ -408,4 +407,5 @@ class TestPolicies:
         attach_decoder_adapter(
             model, AdapterConfig(num_prompts=2, prompt_dim=128, key_dim=64, value_dim=64)
         )
-        assert trainable_fraction(model) < 0.05
+        trainable = model.registry.param_count(trainable_only=True)
+        assert trainable / model.registry.param_count() < 0.05

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,33 @@ class TestCheckpointFormat:
     def test_trailing_bytes_rejected(self):
         blob = ckpt.dump_bytes(build_registry()) + b"\x00"
         with pytest.raises(FormatError, match="trailing"):
+            ckpt.load_bytes(blob)
+
+    def test_non_utf8_name_rejected_with_offset(self):
+        reg = ParameterRegistry()
+        reg.add("ab", (2,), Init.zeros())
+        reg.initialize(seed=0)
+        blob = bytearray(ckpt.dump_bytes(reg))
+        blob[12] = 0xFF  # first name byte, after the 10-byte header and u16 length
+        with pytest.raises(FormatError, match="offset 12"):
+            ckpt.load_bytes(bytes(blob))
+
+    def test_extent_product_overflow_rejected_with_offset(self):
+        # 2**31 * 2**31 * 4 wraps to 0 in int64; the size check must see 2**64.
+        blob = (
+            ckpt.MAGIC + struct.pack("<HI", ckpt.VERSION, 1)
+            + struct.pack("<H", 1) + b"w" + struct.pack("<B3I", 3, 2**31, 2**31, 4)
+        )
+        with pytest.raises(FormatError, match="offset"):
+            ckpt.load_bytes(blob)
+
+    def test_duplicate_name_rejected_with_offset(self):
+        reg = ParameterRegistry()
+        reg.add("ab", (2,), Init.zeros())
+        reg.initialize(seed=0)
+        entry = ckpt.dump_bytes(reg)[10:]
+        blob = ckpt.MAGIC + struct.pack("<HI", ckpt.VERSION, 2) + entry + entry
+        with pytest.raises(FormatError, match=f"duplicate parameter name 'ab' at offset {12 + len(entry)}"):
             ckpt.load_bytes(blob)
 
     def test_adapter_prefix_subset(self):

@@ -119,6 +119,29 @@ class TestSettingValidation:
         with pytest.raises(ValidationError):
             config_from_dict(patch)
 
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"train": {"epochs": 2.5}},
+            {"train": {"epochs": "3"}},
+            {"train": {"lr": float("nan")}},
+            {"train": {"lr": float("inf")}},
+            {"train": {"batch_size": True}},
+            {"ttda": {"lambda_entropy": False}},
+            {"lora": {"targets": "query"}},
+            {"data": {"source": {"blob_radius": "5,14"}}},
+            {"data": {"source": {"num_blobs": [1, 2, 3]}}},
+        ],
+    )
+    def test_wrongly_typed_values_rejected(self, patch):
+        with pytest.raises(ValidationError, match="must be"):
+            config_from_dict(patch)
+
+    def test_int_accepted_where_float_expected(self):
+        cfg = config_from_dict({"train": {"lr": 1}, "lora": {"alpha": 8}})
+        assert cfg.train.lr == 1
+        assert cfg.lora.alpha == 8
+
     def test_saved_config_is_plain_json(self, tmp_path):
         path = tmp_path / "run.json"
         save_config(path, default_config())

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from segadapt.adapter import trainable_predicate
 from segadapt.config import default_config
 from segadapt.data import SplitSizes, generate_dataset, load_manifest, load_split
 from segadapt.engine import (
@@ -11,6 +12,7 @@ from segadapt.engine import (
     ENTROPY_FLOOR,
     EvalResult,
     aggregate_report,
+    attach_method,
     emit_report,
     entropy_improved,
     evaluate_checkpoint,
@@ -24,7 +26,7 @@ from segadapt.engine import (
     train_supervised,
 )
 from segadapt.errors import IntegrityError, ValidationError
-from segadapt.model import PromptSet
+from segadapt.model import PromptSet, SegmentationModel
 
 SIZES = SplitSizes(30, 10, 10, 10, 10)
 
@@ -247,6 +249,44 @@ class TestLoadModel:
         with pytest.raises(ValidationError, match="meta version"):
             load_model(ckpt)
 
+    @pytest.mark.parametrize("method", ["sam_da_dec", "sam_da_enc", "lora"])
+    def test_sidecar_without_method_config(self, workspace, tmp_path, method):
+        src = workspace["root"] / "base"
+        ckpt = tmp_path / "bare.sdck"
+        ckpt.write_bytes((src / "checkpoint.sdck").read_bytes())
+        meta = json.loads((src / "checkpoint.sdck.meta.json").read_text())
+        meta.update(method=method, adapter=None, lora=None)
+        (tmp_path / "bare.sdck.meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValidationError, match="needs"):
+            load_model(ckpt)
+
+
+class TestAttachMethod:
+    @pytest.mark.parametrize(
+        "method, uses",
+        [
+            ("full_ft", (False, False)),
+            ("decoder_ft", (False, False)),
+            ("lora", (False, True)),
+            ("sam_da_dec", (True, False)),
+            ("sam_da_enc", (True, False)),
+        ],
+    )
+    def test_returns_only_the_configs_the_method_uses(self, method, uses):
+        cfg = default_config()
+        model = SegmentationModel(cfg.model)
+        adapter_cfg, lora_cfg = attach_method(model, method, cfg.adapter, cfg.lora)
+        assert (adapter_cfg is not None, lora_cfg is not None) == uses
+        if adapter_cfg is not None:
+            assert adapter_cfg.placement == ("decoder" if method == "sam_da_dec" else "encoder")
+        trainable = {n for n in model.registry.names() if model.registry.param(n).trainable}
+        assert trainable == set(filter(trainable_predicate(method), model.registry.names()))
+
+    def test_unknown_method_rejected(self):
+        cfg = default_config()
+        with pytest.raises(ValidationError, match="unknown method"):
+            attach_method(SegmentationModel(cfg.model), "prompt_tuning", cfg.adapter, cfg.lora)
+
 
 class TestTTDA:
     def test_entropy_improved_convention(self):
@@ -282,6 +322,24 @@ class TestTTDA:
             ),
         )
         fragment = run_ttda(workspace["base"]["checkpoint"], workspace["data"], cfg)
+        for record in fragment["per_sample"]:
+            assert record["iou_after"] == record["iou_before"]
+            assert record["entropy_after"] == record["entropy_before"]
+
+    def test_loss_without_terms_leaves_samples_unadapted(self, workspace):
+        # Only the contrastive weight is nonzero, and no slice of a 10-slice
+        # volume lies 10 slices away to serve as a negative: no sample has a
+        # loss term.
+        cfg = replace(
+            workspace["cfg"],
+            ttda=replace(
+                workspace["cfg"].ttda,
+                lambda_entropy=0.0, lambda_proximity=0.0, lambda_contrastive=0.1,
+                negative_min_offset=10,
+            ),
+        )
+        fragment = run_ttda(workspace["base"]["checkpoint"], workspace["data"], cfg)
+        assert fragment["count"] == SIZES.target_test
         for record in fragment["per_sample"]:
             assert record["iou_after"] == record["iou_before"]
             assert record["entropy_after"] == record["entropy_before"]

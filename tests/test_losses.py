@@ -15,9 +15,11 @@ from segadapt.losses import (
     dice_loss,
     focal_loss,
     iou_match_loss,
+    mask_from_logits,
     proximity_loss,
     slice_contrastive_loss,
     supervised_loss,
+    weighted_sum,
 )
 
 
@@ -146,6 +148,28 @@ class TestFocal:
         assert err <= 1e-6
 
 
+class TestMaskFromLogits:
+    def test_zero_logit_is_foreground(self):
+        logits = np.array([-1.0, -1e-30, 0.0, 1e-30, 1.0], dtype=np.float32)
+        assert mask_from_logits(logits).tolist() == [False, False, True, True, True]
+
+    def test_saturated_logits(self):
+        logits = np.array([-1e4, 1e4])
+        assert mask_from_logits(logits).tolist() == [False, True]
+
+
+class TestWeightedSum:
+    def test_no_terms_is_none(self):
+        term = Tensor(np.asarray(2.0))
+        assert weighted_sum([]) is None
+        assert weighted_sum([(0.0, term), (0.0, term)]) is None
+
+    def test_zero_weights_dropped(self):
+        a, b = Tensor(np.asarray(2.0)), Tensor(np.asarray(5.0))
+        assert weighted_sum([(0.0, a), (3.0, b)]).item() == 15.0
+        assert weighted_sum([(0.5, a), (0.0, b)]).item() == 1.0
+
+
 class TestIoUMatch:
     def test_zero_when_prediction_matches(self):
         logits, target = rand_case(9)
@@ -233,17 +257,17 @@ class TestConfidentEntropy:
 class TestProximity:
     def test_equals_focal_plus_dice_on_pseudo_target(self):
         logits, _ = rand_case(16)
-        initial = 1 / (1 + np.exp(-rand_case(17)[0]))
-        pseudo = (initial >= 0.5).astype(np.float64)
+        snapshot = rand_case(17)[0]
+        pseudo = (snapshot >= 0).astype(np.float64)
         t = Tensor(logits, dtype=np.float64)
         expected = focal_loss(t, pseudo, gamma=2.0).item() + dice_loss(t, pseudo).item()
-        assert proximity_loss(t, initial).item() == pytest.approx(expected, rel=1e-9)
+        assert proximity_loss(t, snapshot).item() == pytest.approx(expected, rel=1e-9)
 
     def test_near_zero_at_snapshot(self):
         initial = np.zeros((6, 6))
         initial[2:4, 2:4] = 1.0
         logits = (initial * 2 - 1) * 40.0
-        assert proximity_loss(Tensor(logits, dtype=np.float64), initial).item() < 1e-2
+        assert proximity_loss(Tensor(logits, dtype=np.float64), logits).item() < 1e-2
 
 
 class TestSliceContrastive:

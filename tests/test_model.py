@@ -85,21 +85,6 @@ class TestForwardShapes:
         with pytest.raises(DimensionError):
             model.forward(np.zeros((16, 8)), PROMPTS)
 
-    def test_predict_batch_matches_single(self):
-        model = tiny_model()
-        images = [sample_image(0), sample_image(1)]
-        prompt_sets = [PROMPTS, PromptSet([(1.0, 1.0, 1)])]
-        batch = model.predict_batch(images, prompt_sets)
-        for got, img, ps in zip(batch, images, prompt_sets):
-            single = model.predict(img, ps)
-            assert np.array_equal(got.logits, single.logits)
-            assert got.iou_pred == single.iou_pred
-
-    def test_predict_batch_length_mismatch(self):
-        model = tiny_model()
-        with pytest.raises(DimensionError):
-            model.predict_batch([sample_image()], [PROMPTS, PROMPTS])
-
 
 class TestDeterminism:
     def test_same_seed_same_prediction(self):

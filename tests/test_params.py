@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from segadapt import AdamWState, Init, ParameterRegistry, adamw_step, backward, param_count
+from segadapt import AdamWState, Init, ParameterRegistry, adamw_step, backward
 from segadapt.errors import ContractError
 
 
@@ -54,9 +54,9 @@ class TestRegistry:
 
     def test_param_count_and_trainable_filter(self):
         reg = make_registry(["alpha.weight", "beta.bias", "gamma.embed"])
-        assert param_count(reg) == 12 + 3 + 10
+        assert reg.param_count() == 12 + 3 + 10
         reg.set_trainable(lambda name: name.startswith("alpha."))
-        assert param_count(reg, trainable_only=True) == 12
+        assert reg.param_count(trainable_only=True) == 12
         assert not reg.get("beta.bias").requires_grad
 
     def test_fill_missing_grads(self):
