@@ -15,6 +15,7 @@ JSON manifest describing domains, splits, and volume grouping.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -468,8 +469,16 @@ def load_split(root: str | Path, manifest: dict, split: str) -> list[Sample]:
             f"unknown split {split!r}; available: {sorted(manifest['splits'])}"
         ) from None
     root = Path(root)
-    samples = []
+    paths = []
     for volume_id in sorted(entry["volumes"], key=int):
         for rel in entry["volumes"][volume_id]:
-            samples.append(read_sample(root / rel, domain=entry["domain"]))
-    return samples
+            # Lexical, so a dataset assembled from symlinks still loads.
+            norm = os.path.normpath(rel)
+            if os.path.isabs(norm) or norm == os.pardir or norm.startswith(os.pardir + os.sep):
+                raise ValidationError(f"split {split!r} lists {rel!r}, which lies outside {root}")
+            paths.append(root / rel)
+    if entry["count"] != len(paths):
+        raise ValidationError(
+            f"split {split!r} declares count {entry['count']} but lists {len(paths)} files"
+        )
+    return [read_sample(path, domain=entry["domain"]) for path in paths]

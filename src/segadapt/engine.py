@@ -15,6 +15,7 @@ not reproduce.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -29,10 +30,10 @@ from .adapter import (
     attach_encoder_adapter,
     attach_lora,
 )
-from .checkpoint import dump_bytes, restore
+from .checkpoint import dump_bytes, load_bytes, restore
 from .config import RunConfig, config_to_dict, overlay
 from .data import Sample, load_manifest, load_split
-from .errors import ContractError, IntegrityError, ValidationError
+from .errors import ContractError, FormatError, IntegrityError, ValidationError
 from .losses import (
     compute_iou,
     confident_entropy_loss,
@@ -42,7 +43,7 @@ from .losses import (
     supervised_loss,
     weighted_sum,
 )
-from .model import ModelConfig, PromptSet, SegmentationModel
+from .model import ImageEmbedding, ModelConfig, PromptSet, SegmentationModel
 from .params import AdamWState, adamw_step
 from .stats import paired_t_test
 from .tensor import backward, no_grad
@@ -114,7 +115,7 @@ class EvalResult:
 
 
 def evaluate_with_predictor(
-    predict: Callable[[np.ndarray, PromptSet], object],
+    predict: Callable[[Sample, PromptSet], object],
     samples: Sequence[Sample],
     seed: int,
 ) -> EvalResult:
@@ -122,13 +123,54 @@ def evaluate_with_predictor(
     scores = []
     for s in samples:
         prompts = interior_prompt(s.mask, prompt_rng(seed, s.volume_id, s.slice_index))
-        pred = predict(s.image, prompts)
+        pred = predict(s, prompts)
         scores.append(compute_iou(pred.mask, s.mask))
     return EvalResult.from_scores(scores)
 
 
-def evaluate_model(model: SegmentationModel, samples: Sequence[Sample], seed: int) -> EvalResult:
-    return evaluate_with_predictor(model.predict, samples, seed)
+def evaluate_model(
+    model: SegmentationModel,
+    samples: Sequence[Sample],
+    seed: int,
+    embed: Callable[[Sample], ImageEmbedding] | None = None,
+) -> EvalResult:
+    """Evaluate the model; ``embed`` supplies each sample's image embedding
+    (by default every image is encoded)."""
+    embed = embed or (lambda s: None)
+    # embed(s) runs before predict() turns the tape off: keep an unfrozen
+    # encoder from recording a graph nobody differentiates.
+    with no_grad():
+        return evaluate_with_predictor(lambda s, p: model.predict(s.image, p, embed(s)), samples, seed)
+
+
+def _embedder(model: SegmentationModel) -> Callable[[Sample], ImageEmbedding]:
+    """``embed(sample)``: the sample's image embedding for one stage call.
+
+    While ``model.encoder_frozen()`` holds, the embedding of each loaded
+    Sample object is computed once and reused (SAM's split: the heavy image
+    encoder once per image, the prompt encoder and decoder once per prompt).
+    The caller must not change weights upstream of the neck while it uses
+    the helper.  Otherwise every call encodes the image again.
+    """
+    if not model.encoder_frozen():
+        return lambda s: model.encode_image(s.image)
+    # Keyed on object identity; each entry keeps its sample alive so the id
+    # cannot be reused by another object.
+    memo: dict[int, tuple[Sample, ImageEmbedding]] = {}
+
+    def embed(s: Sample) -> ImageEmbedding:
+        hit = memo.get(id(s))
+        if hit is None:
+            embedding = model.encode_image(s.image)
+            if embedding.grid.requires_grad or embedding.grid._grad_fn is not None:
+                raise ContractError(
+                    f"memoized embedding of sample (volume {s.volume_id}, slice "
+                    f"{s.slice_index}) is on the autodiff tape"
+                )
+            hit = memo[id(s)] = (s, embedding)
+        return hit[1]
+
+    return embed
 
 
 # -- checkpoint + sidecar -----------------------------------------------------------
@@ -169,9 +211,23 @@ def load_model(checkpoint: str | Path) -> tuple[SegmentationModel, dict]:
     meta_path = _meta_path(path)
     if not meta_path.exists():
         raise ValidationError(f"checkpoint sidecar not found: {meta_path}")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_bytes())
+    except json.JSONDecodeError as exc:
+        raise FormatError(
+            f"checkpoint sidecar {meta_path} is not JSON at offset {exc.pos}: {exc.msg}"
+        ) from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"checkpoint sidecar {meta_path} is not UTF-8 at offset {exc.start}"
+        ) from None
+    if not isinstance(meta, dict):
+        raise ValidationError(f"checkpoint sidecar {meta_path} is not a JSON object")
     if meta.get("meta_version") != META_VERSION:
         raise ValidationError(f"unsupported checkpoint meta version in {meta_path}")
+    for key in ("model", "method"):
+        if key not in meta:
+            raise ValidationError(f"checkpoint sidecar {meta_path} lacks key {key!r}")
     model = SegmentationModel(overlay(ModelConfig(), meta["model"]))
     adapter_cfg = overlay(AdapterConfig(), meta["adapter"]) if meta.get("adapter") else None
     lora_cfg = overlay(LoraConfig(), meta["lora"]) if meta.get("lora") else None
@@ -257,8 +313,9 @@ def train_supervised(cfg: RunConfig, data_root: str | Path, out_dir: str | Path)
     opt = AdamWState(lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([_SHUFFLE_TAG, cfg.train.seed]))
     seed = cfg.train.seed
+    embed = _embedder(model)
 
-    val = evaluate_model(model, val_samples, seed)
+    val = evaluate_model(model, val_samples, seed, embed)
     val_curve = [val.mean]
     loss_curve: list[float] = []
     # Best-validation retention over trained epochs; the pre-training entry
@@ -266,7 +323,7 @@ def train_supervised(cfg: RunConfig, data_root: str | Path, out_dir: str | Path)
     best_val = -1.0
     best_bytes = dump_bytes(model.registry)
 
-    for _epoch in range(cfg.train.epochs):
+    for epoch in range(cfg.train.epochs):
         order = shuffle_rng.permutation(len(train_samples))
         epoch_losses = []
         for batch in _chunks(order, cfg.train.batch_size):
@@ -274,14 +331,19 @@ def train_supervised(cfg: RunConfig, data_root: str | Path, out_dir: str | Path)
             for idx in batch:
                 s = train_samples[int(idx)]
                 prompts = interior_prompt(s.mask, prompt_rng(seed, s.volume_id, s.slice_index))
-                out = model.forward(s.image, prompts)
+                out = model.forward(s.image, prompts, embed(s))
                 total_loss, parts = supervised_loss(out.logits, out.iou_pred, s.mask, cfg.loss)
+                if not math.isfinite(parts["total"]):
+                    raise ValidationError(
+                        f"non-finite training loss {parts['total']} in epoch {epoch} on sample "
+                        f"(volume {s.volume_id}, slice {s.slice_index}) at lr {cfg.train.lr}"
+                    )
                 backward(total_loss * scale)
                 epoch_losses.append(parts["total"])
             model.registry.fill_missing_grads()
             adamw_step(model.registry, opt)
         loss_curve.append(float(np.mean(epoch_losses)))
-        val = evaluate_model(model, val_samples, seed)
+        val = evaluate_model(model, val_samples, seed, embed)
         val_curve.append(val.mean)
         if val.mean > best_val:
             best_val = val.mean
@@ -363,6 +425,7 @@ def _ttda_sample(
     volume: dict[int, Sample],
     cfg: RunConfig,
     adapt: bool,
+    embed: Callable[[Sample], ImageEmbedding],
     unadapted_embedding: Callable[[Sample], np.ndarray],
 ) -> dict:
     """Adapt the model to one sample and return the sample's record.
@@ -374,7 +437,7 @@ def _ttda_sample(
     q = cfg.loss.confidence_fraction
     prompts = interior_prompt(s.mask, prompt_rng(settings.seed, s.volume_id, s.slice_index))
     with no_grad():
-        first = model.forward(s.image, prompts)
+        first = model.forward(s.image, prompts, embed(s))
         entropy_before = confident_entropy_loss(first.logits, q).item()
     snapshot = first.logits.data
     iou_before = compute_iou(mask_from_logits(snapshot), s.mask)
@@ -398,7 +461,7 @@ def _ttda_sample(
 
         opt = AdamWState(lr=settings.lr, weight_decay=0.0)
         for _ in range(settings.iterations):
-            out = model.forward(s.image, prompts)
+            out = model.forward(s.image, prompts, embed(s))
             entropy = confident_entropy_loss(out.logits, q)
             proximity = proximity_loss(
                 out.logits, snapshot, gamma=cfg.loss.focal_gamma, smooth=cfg.loss.dice_smooth
@@ -412,12 +475,17 @@ def _ttda_sample(
             loss = weighted_sum(terms)
             if loss is None:
                 break  # no weighted term applies to this sample: it stays unadapted
+            if not math.isfinite(loss.item()):
+                raise ValidationError(
+                    f"non-finite TTDA loss {loss.item()} on sample (volume {s.volume_id}, "
+                    f"slice {s.slice_index}) at lr {settings.lr}"
+                )
             backward(loss)
             model.registry.fill_missing_grads()
             adamw_step(model.registry, opt)
         else:
             with no_grad():
-                final = model.forward(s.image, prompts)
+                final = model.forward(s.image, prompts, embed(s))
                 entropy_after = confident_entropy_loss(final.logits, q).item()
             iou_after = compute_iou(mask_from_logits(final.logits.data), s.mask)
 
@@ -455,24 +523,30 @@ def run_ttda(
     if not any(n.startswith("adapter.") for n in model.registry.names()):
         attach_method(model, "sam_da_dec", cfg.adapter, None, seed=settings.seed)
     reference = dump_bytes(model.registry)
+    # Parsed once; each reset still goes through restore() and is audited
+    # against the reference bytes.
+    reference_values = load_bytes(reference)
+    embed = _embedder(model)
 
     adapt = any((settings.lambda_entropy, settings.lambda_proximity, settings.lambda_contrastive))
     # Pooled slice embeddings of the unadapted model, shared across samples.
-    embed_cache: dict[tuple[int, int], np.ndarray] = {}
+    pooled: dict[tuple[int, int], np.ndarray] = {}
 
     def unadapted_embedding(s: Sample) -> np.ndarray:
         key = (s.volume_id, s.slice_index)
-        if key not in embed_cache:
+        if key not in pooled:
             prompts = interior_prompt(s.mask, prompt_rng(settings.seed, *key))
             with no_grad():
-                out = model.forward(s.image, prompts)
-            embed_cache[key] = out.dense.data.mean(axis=0).copy()
-        return embed_cache[key]
+                out = model.forward(s.image, prompts, embed(s))
+            pooled[key] = out.dense.data.mean(axis=0).copy()
+        return pooled[key]
 
     records = []
     for s in samples:
-        records.append(_ttda_sample(model, s, volumes[s.volume_id], cfg, adapt, unadapted_embedding))
-        restore(model.registry, reference)
+        records.append(
+            _ttda_sample(model, s, volumes[s.volume_id], cfg, adapt, embed, unadapted_embedding)
+        )
+        restore(model.registry, reference_values)
         if dump_bytes(model.registry) != reference:
             raise IntegrityError(
                 f"weights after restoring sample (volume {s.volume_id}, slice "

@@ -368,10 +368,33 @@ class SegmentationModel:
 
     # -- entry points ----------------------------------------------------------------------
 
-    def forward(self, image: np.ndarray, prompts: PromptSet) -> ForwardResult:
-        return self.decode(self.encode_image(image), self.encode_prompts(prompts))
+    def encoder_frozen(self) -> bool:
+        """Whether nothing that feeds ``encode_image`` can train.
 
-    def predict(self, image: np.ndarray, prompts: PromptSet) -> MaskPrediction:
+        True when no ``encoder.*`` parameter is trainable, no encoder hook is
+        attached and every LoRA delta tensor is frozen.  An image's embedding
+        is then a constant of the weights the caller holds fixed, so it may
+        be computed once and reused by every later forward of that image.
+        """
+        encoder_trainable = any(
+            p.trainable for p in self.registry.parameters() if p.name.startswith("encoder.")
+        )
+        lora_trainable = any(
+            t.requires_grad for down, up, _ in self.lora_deltas.values() for t in (down, up)
+        )
+        return not encoder_trainable and self.encoder_hook is None and not lora_trainable
+
+    def forward(
+        self, image: np.ndarray, prompts: PromptSet, embedding: ImageEmbedding | None = None
+    ) -> ForwardResult:
+        """Encode the image (unless its ``embedding`` is given) and decode the prompts."""
+        if embedding is None:
+            embedding = self.encode_image(image)
+        return self.decode(embedding, self.encode_prompts(prompts))
+
+    def predict(
+        self, image: np.ndarray, prompts: PromptSet, embedding: ImageEmbedding | None = None
+    ) -> MaskPrediction:
         with no_grad():
-            result = self.forward(image, prompts)
+            result = self.forward(image, prompts, embedding)
         return MaskPrediction(logits=result.logits.data.copy(), iou_pred=result.iou_pred.item())

@@ -121,6 +121,14 @@ class TestExitCodes:
         code = main(["eval", "--checkpoint", str(bad), "--data", env["data"], "--domain", "source"])
         assert code == 1
 
+    def test_malformed_sidecar_is_one(self, env, capsys, tmp_path):
+        ckpt = tmp_path / "ckpt.sdck"
+        ckpt.write_bytes((env["root"] / "run" / "checkpoint.sdck").read_bytes())
+        (tmp_path / "ckpt.sdck.meta.json").write_text("[1, 2]")
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", env["data"], "--domain", "source"])
+        assert code == 1
+        assert "not a JSON object" in capsys.readouterr().err
+
     def test_tampered_fragment_is_two(self, env, capsys, tmp_path):
         run = tmp_path / "tampered"
         run.mkdir()

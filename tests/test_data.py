@@ -237,6 +237,21 @@ class TestDatasetGeneration:
         with pytest.raises(ValidationError, match="target_train"):
             load_split(tmp_path, manifest, "target_train")
 
+    @pytest.mark.parametrize("escape", ["../outside.sdim", "source_val/../../outside.sdim", "absolute"])
+    def test_load_split_rejects_paths_outside_the_root(self, tmp_path, escape):
+        root = tmp_path / "data"
+        manifest = generate_dataset(root, sizes=SMALL)
+        paths = next(iter(manifest["splits"]["source_val"]["volumes"].values()))
+        paths[0] = str(tmp_path / "outside.sdim") if escape == "absolute" else escape
+        with pytest.raises(ValidationError, match="outside"):
+            load_split(root, manifest, "source_val")
+
+    def test_load_split_rejects_a_count_that_differs_from_the_files(self, tmp_path):
+        manifest = generate_dataset(tmp_path, sizes=SMALL)
+        manifest["splits"]["source_val"]["count"] += 1
+        with pytest.raises(ValidationError, match="count"):
+            load_split(tmp_path, manifest, "source_val")
+
     def test_manifest_loads_and_validates(self, tmp_path):
         generate_dataset(tmp_path, sizes=SMALL)
         manifest = load_manifest(tmp_path)

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from segadapt.engine import (
     run_ttda,
     train_supervised,
 )
-from segadapt.errors import IntegrityError, ValidationError
+from segadapt.errors import ContractError, FormatError, IntegrityError, ValidationError
 from segadapt.model import PromptSet, SegmentationModel
 
 SIZES = SplitSizes(30, 10, 10, 10, 10)
@@ -93,11 +94,7 @@ class TestEvaluation:
             def __init__(self, mask):
                 self.mask = mask
 
-        result = evaluate_with_predictor(
-            lambda image, prompts: Oracle(samples[_find(samples, image)].mask),
-            samples,
-            seed=0,
-        )
+        result = evaluate_with_predictor(lambda s, prompts: Oracle(s.mask), samples, seed=0)
         assert result.mean == 1.0
         assert result.per_image == [1.0] * len(samples)
 
@@ -132,13 +129,6 @@ class TestEvaluation:
             seed=0, report_path=out,
         )
         assert json.loads(out.read_text())["mean"] == fragment["mean"]
-
-
-def _find(samples, image):
-    for i, s in enumerate(samples):
-        if np.array_equal(s.image, image):
-            return i
-    raise AssertionError("unknown image")
 
 
 class TestTrainSupervised:
@@ -210,6 +200,17 @@ class TestTrainSupervised:
         with pytest.raises(ValidationError):
             train_supervised(workspace["cfg"], tmp_path / "no_data", tmp_path / "run")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_names_epoch_sample_and_lr(self, workspace, tmp_path):
+        cfg = replace(
+            workspace["cfg"],
+            train=replace(
+                workspace["cfg"].train, method="decoder_ft", epochs=1, lr=1e30, max_train_samples=10
+            ),
+        )
+        with pytest.raises(ValidationError, match=r"non-finite training loss .* epoch 0 .*volume .*lr 1e\+30"):
+            train_supervised(cfg, workspace["data"], tmp_path / "run")
+
 
 class TestLoadModel:
     def test_round_trip_predictions(self, workspace, samples, tmp_path):
@@ -247,6 +248,35 @@ class TestLoadModel:
         meta["meta_version"] = 99
         (tmp_path / "old.sdck.meta.json").write_text(json.dumps(meta))
         with pytest.raises(ValidationError, match="meta version"):
+            load_model(ckpt)
+
+    def _with_sidecar(self, workspace, tmp_path, raw):
+        ckpt = tmp_path / "ckpt.sdck"
+        ckpt.write_bytes((workspace["root"] / "base" / "checkpoint.sdck").read_bytes())
+        (tmp_path / "ckpt.sdck.meta.json").write_bytes(raw if isinstance(raw, bytes) else raw.encode())
+        return ckpt
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [('{"method": oops}', "not JSON at offset 11"), (b'{"method": "\xff"}', "not UTF-8 at offset 12")],
+    )
+    def test_undecodable_sidecar_is_a_format_error_with_offset(self, workspace, tmp_path, raw, message):
+        ckpt = self._with_sidecar(workspace, tmp_path, raw)
+        with pytest.raises(FormatError, match=message):
+            load_model(ckpt)
+
+    @pytest.mark.parametrize("doc", ["[1, 2]", '"full_ft"', "null"])
+    def test_sidecar_that_is_not_an_object(self, workspace, tmp_path, doc):
+        ckpt = self._with_sidecar(workspace, tmp_path, doc)
+        with pytest.raises(ValidationError, match="ckpt.sdck.meta.json is not a JSON object"):
+            load_model(ckpt)
+
+    @pytest.mark.parametrize("key", ["model", "method"])
+    def test_sidecar_lacking_a_key(self, workspace, tmp_path, key):
+        meta = json.loads((workspace["root"] / "base" / "checkpoint.sdck.meta.json").read_text())
+        del meta[key]
+        ckpt = self._with_sidecar(workspace, tmp_path, json.dumps(meta))
+        with pytest.raises(ValidationError, match=f"ckpt.sdck.meta.json lacks key '{key}'"):
             load_model(ckpt)
 
     @pytest.mark.parametrize("method", ["sam_da_dec", "sam_da_enc", "lora"])
@@ -362,6 +392,12 @@ class TestTTDA:
         with pytest.raises(IntegrityError, match="differ from the checkpoint"):
             run_ttda(workspace["base"]["checkpoint"], workspace["data"], cfg)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_names_sample_and_lr(self, workspace):
+        cfg = replace(workspace["cfg"], ttda=replace(workspace["cfg"].ttda, lr=1e30, iterations=2))
+        with pytest.raises(ValidationError, match=r"non-finite TTDA loss .* \(volume \d+, slice \d+\) at lr 1e\+30"):
+            run_ttda(workspace["base"]["checkpoint"], workspace["data"], cfg)
+
     def test_mean_fields_match_records(self, workspace):
         cfg = replace(workspace["cfg"], ttda=replace(workspace["cfg"].ttda, iterations=1))
         fragment = run_ttda(workspace["base"]["checkpoint"], workspace["data"], cfg)
@@ -371,6 +407,94 @@ class TestTTDA:
         assert fragment["mean_iou_after"] == pytest.approx(
             np.mean([r["iou_after"] for r in fragment["per_sample"]]), abs=1e-12
         )
+
+
+def _method_cfg(workspace, method):
+    """A short run of `method` from the shared base checkpoint."""
+    cfg = workspace["cfg"]
+    return replace(
+        cfg,
+        train=replace(
+            cfg.train, method=method, epochs=2, seed=0, max_train_samples=10,
+            init_from=workspace["base"]["checkpoint"],
+        ),
+        ttda=replace(cfg.ttda, iterations=2),
+    )
+
+
+def _drop_path(fragment):
+    return {k: v for k, v in fragment.items() if k != "checkpoint"}
+
+
+class TestEncoderFrozenRule:
+    @pytest.mark.parametrize(
+        "method, frozen",
+        [
+            ("full_ft", False),
+            ("decoder_ft", True),
+            ("lora", False),
+            ("sam_da_dec", True),
+            ("sam_da_enc", False),
+        ],
+    )
+    def test_truth_table(self, method, frozen):
+        cfg = default_config()
+        model = SegmentationModel(cfg.model)
+        attach_method(model, method, cfg.adapter, cfg.lora)
+        assert model.encoder_frozen() is frozen
+
+    def test_ttda_fresh_adapter_on_full_ft_checkpoint(self, workspace):
+        model, meta = load_model(workspace["base"]["checkpoint"])
+        assert meta["method"] == "full_ft" and not model.encoder_frozen()
+        attach_method(model, "sam_da_dec", workspace["cfg"].adapter, None)
+        assert model.encoder_frozen()
+
+
+class TestEmbeddingCache:
+    @pytest.mark.parametrize("method", ["sam_da_dec", "decoder_ft"])
+    def test_cached_runs_equal_uncached_runs(self, workspace, tmp_path, monkeypatch, method):
+        cfg = _method_cfg(workspace, method)
+        runs = {}
+        for cached in (True, False):
+            with monkeypatch.context() as m:
+                if not cached:
+                    m.setattr(SegmentationModel, "encoder_frozen", lambda self: False)
+                train = train_supervised(cfg, workspace["data"], tmp_path / f"cached_{cached}")
+                ttda = run_ttda(train["checkpoint"], workspace["data"], cfg)
+            runs[cached] = (
+                Path(train["checkpoint"]).read_bytes(), _drop_path(train), _drop_path(ttda)
+            )
+        assert runs[True] == runs[False]
+
+    def test_memo_refuses_an_embedding_on_the_tape(self, workspace, tmp_path, monkeypatch):
+        # A rule that wrongly holds under full_ft must not reuse a stale grid.
+        monkeypatch.setattr(SegmentationModel, "encoder_frozen", lambda self: True)
+        with pytest.raises(ContractError, match="autodiff tape"):
+            train_supervised(_method_cfg(workspace, "full_ft"), workspace["data"], tmp_path / "run")
+
+    @pytest.mark.parametrize("method", ["sam_da_dec", "full_ft"])
+    def test_encoder_passes(self, workspace, tmp_path, monkeypatch, method):
+        images = []
+        encode_image = SegmentationModel.encode_image
+
+        def counting(self, image):
+            images.append(image)
+            return encode_image(self, image)
+
+        monkeypatch.setattr(SegmentationModel, "encode_image", counting)
+        cfg = _method_cfg(workspace, method)
+        fragment = train_supervised(cfg, workspace["data"], tmp_path / "run")
+        epochs, n_train, n_val = cfg.train.epochs, fragment["train_samples"], SIZES.source_val
+        distinct = len({id(image) for image in images})
+        assert distinct == n_train + n_val
+        if method == "full_ft":
+            # one pass per training step and per validation prediction
+            assert len(images) == epochs * n_train + (epochs + 1) * n_val
+            return
+        assert len(images) == distinct
+        images.clear()
+        ttda = run_ttda(fragment["checkpoint"], workspace["data"], cfg)
+        assert len(images) == len({id(image) for image in images}) == ttda["count"]
 
 
 class TestAblation:
