@@ -85,7 +85,12 @@ def load_bytes(data: bytes) -> dict[str, np.ndarray]:
         shape = struct.unpack(f"<{rank}I", r.read(4 * rank, "extents"))
         # Python ints: the extent product must not wrap before the size check.
         raw = r.read(4 * math.prod(shape), f"values of {name!r}")
-        out[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        try:
+            out[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        except ValueError:  # an empty array whose other extents overflow, or rank > 64
+            raise FormatError(
+                f"extents {shape} of {name!r} at offset {offset} are not a valid array shape"
+            ) from None
     if r.offset != len(data):
         raise FormatError(f"trailing bytes at offset {r.offset}")
     return out

@@ -219,9 +219,11 @@ def load_config(path: str | Path) -> RunConfig:
     if not path.exists():
         raise ValidationError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_bytes())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config {path} is not UTF-8 at offset {exc.start}") from None
     return config_from_dict(doc)
 
 

@@ -449,36 +449,80 @@ def generate_dataset(
     return manifest
 
 
+def read_json_object(path: Path, what: str) -> dict:
+    """Parse a JSON file that must hold an object.
+
+    Bytes that are not UTF-8 or not JSON are a FormatError with the offset;
+    any other document is a ValidationError naming the path.
+    """
+    try:
+        doc = json.loads(path.read_bytes())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{what} {path} is not JSON at offset {exc.pos}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} {path} is not UTF-8 at offset {exc.start}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} {path} is not a JSON object")
+    return doc
+
+
+_JSON_NAMES = {dict: "object", str: "string", int: "integer"}
+
+
+def _require(doc: dict, key: str, kind: type, where: str):
+    value = doc.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValidationError(f"{where} lacks key {key!r} holding a JSON {_JSON_NAMES[kind]}")
+    return value
+
+
 def load_manifest(root: str | Path) -> dict:
     path = Path(root) / MANIFEST_NAME
     if not path.exists():
         raise ValidationError(f"no {MANIFEST_NAME} under {Path(root)}")
-    manifest = json.loads(path.read_text())
+    manifest = read_json_object(path, "manifest")
     version = manifest.get("format_version")
     if version != MANIFEST_VERSION:
         raise FormatError(f"unsupported manifest version {version!r} in {path}")
+    for key in ("domains", "splits"):
+        _require(manifest, key, dict, f"manifest {path}")
     return manifest
 
 
 def load_split(root: str | Path, manifest: dict, split: str) -> list[Sample]:
     """Samples of one split, ordered by (volume, slice)."""
-    try:
-        entry = manifest["splits"][split]
-    except KeyError:
-        raise ValidationError(
-            f"unknown split {split!r}; available: {sorted(manifest['splits'])}"
-        ) from None
     root = Path(root)
+    where = f"manifest {root / MANIFEST_NAME}"
+    splits = _require(manifest, "splits", dict, where)
+    if split not in splits:
+        raise ValidationError(f"unknown split {split!r}; available: {sorted(splits)}")
+    entry = splits[split]
+    where = f"{where} split {split!r}"
+    if not isinstance(entry, dict):
+        raise ValidationError(f"{where} is not a JSON object")
+    count = _require(entry, "count", int, where)
+    domain = _require(entry, "domain", str, where)
+    volumes = _require(entry, "volumes", dict, where)
+    for volume_id, rels in volumes.items():
+        if not (volume_id.isdecimal() and isinstance(rels, list) and all(isinstance(r, str) for r in rels)):
+            raise ValidationError(f"{where} volume {volume_id!r} must map a decimal id to a list of paths")
     paths = []
-    for volume_id in sorted(entry["volumes"], key=int):
-        for rel in entry["volumes"][volume_id]:
+    for volume_id in sorted(volumes, key=int):
+        for rel in volumes[volume_id]:
             # Lexical, so a dataset assembled from symlinks still loads.
             norm = os.path.normpath(rel)
             if os.path.isabs(norm) or norm == os.pardir or norm.startswith(os.pardir + os.sep):
                 raise ValidationError(f"split {split!r} lists {rel!r}, which lies outside {root}")
-            paths.append(root / rel)
-    if entry["count"] != len(paths):
+            paths.append((rel, root / rel))
+    if count != len(paths):
         raise ValidationError(
-            f"split {split!r} declares count {entry['count']} but lists {len(paths)} files"
+            f"split {split!r} declares count {count} but lists {len(paths)} files"
         )
-    return [read_sample(path, domain=entry["domain"]) for path in paths]
+    samples = []
+    for rel, path in paths:
+        try:
+            blob = path.read_bytes()
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+            raise ValidationError(f"split {split!r} lists {rel!r}, which cannot be read: {exc}") from None
+        samples.append(sample_from_bytes(blob, domain=domain))
+    return samples

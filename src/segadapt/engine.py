@@ -32,8 +32,8 @@ from .adapter import (
 )
 from .checkpoint import dump_bytes, load_bytes, restore
 from .config import RunConfig, config_to_dict, overlay
-from .data import Sample, load_manifest, load_split
-from .errors import ContractError, FormatError, IntegrityError, ValidationError
+from .data import Sample, load_manifest, load_split, read_json_object
+from .errors import ContractError, IntegrityError, ValidationError
 from .losses import (
     compute_iou,
     confident_entropy_loss,
@@ -43,10 +43,10 @@ from .losses import (
     supervised_loss,
     weighted_sum,
 )
-from .model import ImageEmbedding, ModelConfig, PromptSet, SegmentationModel
+from .model import DecoderState, ImageEmbedding, ModelConfig, PromptSet, SegmentationModel
 from .params import AdamWState, adamw_step
 from .stats import paired_t_test
-from .tensor import backward, no_grad
+from .tensor import Tensor, backward, no_grad
 
 _PROMPT_TAG = 0x70726F6D
 _SHUFFLE_TAG = 0x73687566
@@ -128,49 +128,70 @@ def evaluate_with_predictor(
     return EvalResult.from_scores(scores)
 
 
+Inputs = Callable[[Sample, PromptSet], tuple[ImageEmbedding | None, DecoderState | None]]
+
+
 def evaluate_model(
     model: SegmentationModel,
     samples: Sequence[Sample],
     seed: int,
-    embed: Callable[[Sample], ImageEmbedding] | None = None,
+    inputs: Inputs | None = None,
 ) -> EvalResult:
-    """Evaluate the model; ``embed`` supplies each sample's image embedding
-    (by default every image is encoded)."""
-    embed = embed or (lambda s: None)
-    # embed(s) runs before predict() turns the tape off: keep an unfrozen
-    # encoder from recording a graph nobody differentiates.
-    with no_grad():
-        return evaluate_with_predictor(lambda s, p: model.predict(s.image, p, embed(s)), samples, seed)
+    """Evaluate the model; ``inputs`` supplies what each forward may reuse
+    (by default every image and prompt is encoded)."""
+    inputs = inputs or (lambda s, p: (None, None))
+    return evaluate_with_predictor(lambda s, p: model.predict(s.image, p, *inputs(s, p)), samples, seed)
 
 
-def _embedder(model: SegmentationModel) -> Callable[[Sample], ImageEmbedding]:
-    """``embed(sample)``: the sample's image embedding for one stage call.
+def _off_tape(tensor: Tensor, what: str, s: Sample) -> None:
+    if tensor.requires_grad or tensor._grad_fn is not None:
+        raise ContractError(
+            f"memoized {what} of sample (volume {s.volume_id}, slice {s.slice_index}) "
+            f"is on the autodiff tape"
+        )
+
+
+def _frozen_inputs(model: SegmentationModel) -> Inputs:
+    """``inputs(sample, prompts)``: the (image embedding, decoder prefix) pair
+    a forward of that sample and prompt set may reuse within one stage call.
 
     While ``model.encoder_frozen()`` holds, the embedding of each loaded
     Sample object is computed once and reused (SAM's split: the heavy image
     encoder once per image, the prompt encoder and decoder once per prompt).
-    The caller must not change weights upstream of the neck while it uses
-    the helper.  Otherwise every call encodes the image again.
+    While ``model.decoder_prefix_frozen()`` also holds, so is the decoder's
+    state after layer 0 for each (Sample object, PromptSet).  The caller must
+    not change weights those rules cover while it uses the helper.  Parts
+    whose rule does not hold come back None and are computed by the forward.
     """
     if not model.encoder_frozen():
-        return lambda s: model.encode_image(s.image)
-    # Keyed on object identity; each entry keeps its sample alive so the id
-    # cannot be reused by another object.
-    memo: dict[int, tuple[Sample, ImageEmbedding]] = {}
+        return lambda s, p: (None, None)
+    keep_prefix = model.decoder_prefix_frozen()
+    # Keyed on object identity; each embedding entry keeps its sample alive
+    # so the id cannot be reused by another object.
+    embeddings: dict[int, tuple[Sample, ImageEmbedding]] = {}
+    prefixes: dict[tuple[int, PromptSet], DecoderState] = {}
 
-    def embed(s: Sample) -> ImageEmbedding:
-        hit = memo.get(id(s))
+    def inputs(s: Sample, prompts: PromptSet):
+        hit = embeddings.get(id(s))
         if hit is None:
             embedding = model.encode_image(s.image)
-            if embedding.grid.requires_grad or embedding.grid._grad_fn is not None:
-                raise ContractError(
-                    f"memoized embedding of sample (volume {s.volume_id}, slice "
-                    f"{s.slice_index}) is on the autodiff tape"
-                )
-            hit = memo[id(s)] = (s, embedding)
-        return hit[1]
+            _off_tape(embedding.grid, "embedding", s)
+            hit = embeddings[id(s)] = (s, embedding)
+        embedding = hit[1]
+        if not keep_prefix:
+            return embedding, None
+        prefix = prefixes.get((id(s), prompts))
+        if prefix is None:
+            # Recorded with the caller's tape setting: while the rule holds no
+            # input needs a gradient, so the tape records nothing; a rule that
+            # holds wrongly leaves the prefix on the tape and is refused.
+            prefix = model.decoder_prefix(embedding, model.encode_prompts(prompts))
+            _off_tape(prefix.tokens, "decoder prefix", s)
+            _off_tape(prefix.dense, "decoder prefix", s)
+            prefixes[id(s), prompts] = prefix
+        return embedding, prefix
 
-    return embed
+    return inputs
 
 
 # -- checkpoint + sidecar -----------------------------------------------------------
@@ -211,23 +232,14 @@ def load_model(checkpoint: str | Path) -> tuple[SegmentationModel, dict]:
     meta_path = _meta_path(path)
     if not meta_path.exists():
         raise ValidationError(f"checkpoint sidecar not found: {meta_path}")
-    try:
-        meta = json.loads(meta_path.read_bytes())
-    except json.JSONDecodeError as exc:
-        raise FormatError(
-            f"checkpoint sidecar {meta_path} is not JSON at offset {exc.pos}: {exc.msg}"
-        ) from None
-    except UnicodeDecodeError as exc:
-        raise FormatError(
-            f"checkpoint sidecar {meta_path} is not UTF-8 at offset {exc.start}"
-        ) from None
-    if not isinstance(meta, dict):
-        raise ValidationError(f"checkpoint sidecar {meta_path} is not a JSON object")
+    meta = read_json_object(meta_path, "checkpoint sidecar")
     if meta.get("meta_version") != META_VERSION:
         raise ValidationError(f"unsupported checkpoint meta version in {meta_path}")
     for key in ("model", "method"):
         if key not in meta:
             raise ValidationError(f"checkpoint sidecar {meta_path} lacks key {key!r}")
+    if not isinstance(meta["method"], str):
+        raise ValidationError(f"checkpoint sidecar {meta_path} names no method: {meta['method']!r}")
     model = SegmentationModel(overlay(ModelConfig(), meta["model"]))
     adapter_cfg = overlay(AdapterConfig(), meta["adapter"]) if meta.get("adapter") else None
     lora_cfg = overlay(LoraConfig(), meta["lora"]) if meta.get("lora") else None
@@ -313,9 +325,9 @@ def train_supervised(cfg: RunConfig, data_root: str | Path, out_dir: str | Path)
     opt = AdamWState(lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([_SHUFFLE_TAG, cfg.train.seed]))
     seed = cfg.train.seed
-    embed = _embedder(model)
+    inputs = _frozen_inputs(model)
 
-    val = evaluate_model(model, val_samples, seed, embed)
+    val = evaluate_model(model, val_samples, seed, inputs)
     val_curve = [val.mean]
     loss_curve: list[float] = []
     # Best-validation retention over trained epochs; the pre-training entry
@@ -331,7 +343,7 @@ def train_supervised(cfg: RunConfig, data_root: str | Path, out_dir: str | Path)
             for idx in batch:
                 s = train_samples[int(idx)]
                 prompts = interior_prompt(s.mask, prompt_rng(seed, s.volume_id, s.slice_index))
-                out = model.forward(s.image, prompts, embed(s))
+                out = model.forward(s.image, prompts, *inputs(s, prompts))
                 total_loss, parts = supervised_loss(out.logits, out.iou_pred, s.mask, cfg.loss)
                 if not math.isfinite(parts["total"]):
                     raise ValidationError(
@@ -343,7 +355,7 @@ def train_supervised(cfg: RunConfig, data_root: str | Path, out_dir: str | Path)
             model.registry.fill_missing_grads()
             adamw_step(model.registry, opt)
         loss_curve.append(float(np.mean(epoch_losses)))
-        val = evaluate_model(model, val_samples, seed, embed)
+        val = evaluate_model(model, val_samples, seed, inputs)
         val_curve.append(val.mean)
         if val.mean > best_val:
             best_val = val.mean
@@ -425,8 +437,8 @@ def _ttda_sample(
     volume: dict[int, Sample],
     cfg: RunConfig,
     adapt: bool,
-    embed: Callable[[Sample], ImageEmbedding],
-    unadapted_embedding: Callable[[Sample], np.ndarray],
+    inputs: Inputs,
+    unadapted: Callable[[Sample], tuple[PromptSet, Tensor, np.ndarray]],
 ) -> dict:
     """Adapt the model to one sample and return the sample's record.
 
@@ -435,11 +447,10 @@ def _ttda_sample(
     """
     settings = cfg.ttda
     q = cfg.loss.confidence_fraction
-    prompts = interior_prompt(s.mask, prompt_rng(settings.seed, s.volume_id, s.slice_index))
+    prompts, first_logits, _ = unadapted(s)
     with no_grad():
-        first = model.forward(s.image, prompts, embed(s))
-        entropy_before = confident_entropy_loss(first.logits, q).item()
-    snapshot = first.logits.data
+        entropy_before = confident_entropy_loss(first_logits, q).item()
+    snapshot = first_logits.data
     iou_before = compute_iou(mask_from_logits(snapshot), s.mask)
 
     entropy_after = entropy_before
@@ -456,12 +467,12 @@ def _ttda_sample(
         neg_idxs = [
             i for i in sorted(volume) if abs(i - s.slice_index) >= settings.negative_min_offset
         ]
-        positive = unadapted_embedding(volume[pos_idx]) if pos_idx is not None else None
-        negatives = [unadapted_embedding(volume[i]) for i in neg_idxs]
+        positive = unadapted(volume[pos_idx])[2] if pos_idx is not None else None
+        negatives = [unadapted(volume[i])[2] for i in neg_idxs]
 
         opt = AdamWState(lr=settings.lr, weight_decay=0.0)
         for _ in range(settings.iterations):
-            out = model.forward(s.image, prompts, embed(s))
+            out = model.forward(s.image, prompts, *inputs(s, prompts))
             entropy = confident_entropy_loss(out.logits, q)
             proximity = proximity_loss(
                 out.logits, snapshot, gamma=cfg.loss.focal_gamma, smooth=cfg.loss.dice_smooth
@@ -485,7 +496,7 @@ def _ttda_sample(
             adamw_step(model.registry, opt)
         else:
             with no_grad():
-                final = model.forward(s.image, prompts, embed(s))
+                final = model.forward(s.image, prompts, *inputs(s, prompts))
                 entropy_after = confident_entropy_loss(final.logits, q).item()
             iou_after = compute_iou(mask_from_logits(final.logits.data), s.mask)
 
@@ -526,26 +537,28 @@ def run_ttda(
     # Parsed once; each reset still goes through restore() and is audited
     # against the reference bytes.
     reference_values = load_bytes(reference)
-    embed = _embedder(model)
+    inputs = _frozen_inputs(model)
 
     adapt = any((settings.lambda_entropy, settings.lambda_proximity, settings.lambda_contrastive))
-    # Pooled slice embeddings of the unadapted model, shared across samples.
-    pooled: dict[tuple[int, int], np.ndarray] = {}
+    unadapted_by_slice: dict[tuple[int, int], tuple[PromptSet, Tensor, np.ndarray]] = {}
 
-    def unadapted_embedding(s: Sample) -> np.ndarray:
+    def unadapted(s: Sample) -> tuple[PromptSet, Tensor, np.ndarray]:
+        """A slice's prompts, logits and pooled dense embedding under the
+        reference weights, computed once per slice: as the sample's own
+        starting point and as another sample's positive or negative.  Only
+        called while the weights equal the reference."""
         key = (s.volume_id, s.slice_index)
-        if key not in pooled:
+        if key not in unadapted_by_slice:
             prompts = interior_prompt(s.mask, prompt_rng(settings.seed, *key))
+            reused = inputs(s, prompts)  # with the tape on, so the memo's tape check applies
             with no_grad():
-                out = model.forward(s.image, prompts, embed(s))
-            pooled[key] = out.dense.data.mean(axis=0).copy()
-        return pooled[key]
+                out = model.forward(s.image, prompts, *reused)
+            unadapted_by_slice[key] = (prompts, out.logits, out.dense.data.mean(axis=0))
+        return unadapted_by_slice[key]
 
     records = []
     for s in samples:
-        records.append(
-            _ttda_sample(model, s, volumes[s.volume_id], cfg, adapt, embed, unadapted_embedding)
-        )
+        records.append(_ttda_sample(model, s, volumes[s.volume_id], cfg, adapt, inputs, unadapted))
         restore(model.registry, reference_values)
         if dump_bytes(model.registry) != reference:
             raise IntegrityError(
@@ -666,8 +679,8 @@ def collect_fragments(run_dir: str | Path) -> list[dict]:
     fragments = []
     for path in sorted(run_dir.rglob("*.json")):
         try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError:
+            doc = json.loads(path.read_bytes())
+        except (json.JSONDecodeError, UnicodeDecodeError):
             continue
         if isinstance(doc, dict) and doc.get("kind") in ("train", "eval", "ttda"):
             doc["_path"] = str(path)

@@ -336,15 +336,28 @@ class SegmentationModel:
         )
         return DecoderState(tokens=t, dense=d)
 
-    def decode(self, embedding: ImageEmbedding, prompt_tokens: Tensor) -> ForwardResult:
-        cfg = self.cfg
+    def decoder_prefix(self, embedding: ImageEmbedding, prompt_tokens: Tensor) -> DecoderState:
+        """The state after decoder layer 0, before its dense hook."""
         reg = self.registry
         tokens = concat(
             [reg.get("decoder.mask_token"), reg.get("decoder.iou_token"), prompt_tokens], axis=0
         )
-        state = DecoderState(tokens=tokens, dense=embedding.grid)
+        return self.twoway_layer(DecoderState(tokens=tokens, dense=embedding.grid), 0)
+
+    def decode(
+        self,
+        embedding: ImageEmbedding,
+        prompt_tokens: Tensor | None = None,
+        prefix: DecoderState | None = None,
+    ) -> ForwardResult:
+        """Decode the prompt tokens, or continue from ``prefix``, the state
+        ``decoder_prefix`` returned for them."""
+        cfg = self.cfg
+        reg = self.registry
+        state = prefix if prefix is not None else self.decoder_prefix(embedding, prompt_tokens)
         for layer in range(cfg.dec_depth):
-            state = self.twoway_layer(state, layer)
+            if layer:
+                state = self.twoway_layer(state, layer)
             if self.dense_hook is not None:
                 state = DecoderState(state.tokens, self.dense_hook(state.dense, layer))
 
@@ -384,17 +397,43 @@ class SegmentationModel:
         )
         return not encoder_trainable and self.encoder_hook is None and not lora_trainable
 
+    def decoder_prefix_frozen(self) -> bool:
+        """Whether nothing that feeds ``decoder_prefix`` can train.
+
+        True when ``encoder_frozen()`` holds and no parameter read before the
+        first dense hook -- the prompt label embedding, the mask and IoU
+        tokens, decoder layer 0 -- is trainable.  The state after layer 0 is
+        then a constant of the image and the prompts, so it may be computed
+        once per image and prompt set and reused by every later forward.
+        """
+        prefix = ("prompt.", "decoder.mask_token", "decoder.iou_token", "decoder.layer0.")
+        prefix_trainable = any(
+            p.trainable for p in self.registry.parameters() if p.name.startswith(prefix)
+        )
+        return self.encoder_frozen() and not prefix_trainable
+
     def forward(
-        self, image: np.ndarray, prompts: PromptSet, embedding: ImageEmbedding | None = None
+        self,
+        image: np.ndarray,
+        prompts: PromptSet,
+        embedding: ImageEmbedding | None = None,
+        prefix: DecoderState | None = None,
     ) -> ForwardResult:
-        """Encode the image (unless its ``embedding`` is given) and decode the prompts."""
+        """Encode the image (unless its ``embedding`` is given) and decode the
+        prompts (from ``prefix``, their state after decoder layer 0, if given)."""
         if embedding is None:
             embedding = self.encode_image(image)
+        if prefix is not None:
+            return self.decode(embedding, prefix=prefix)
         return self.decode(embedding, self.encode_prompts(prompts))
 
     def predict(
-        self, image: np.ndarray, prompts: PromptSet, embedding: ImageEmbedding | None = None
+        self,
+        image: np.ndarray,
+        prompts: PromptSet,
+        embedding: ImageEmbedding | None = None,
+        prefix: DecoderState | None = None,
     ) -> MaskPrediction:
         with no_grad():
-            result = self.forward(image, prompts, embedding)
+            result = self.forward(image, prompts, embedding, prefix)
         return MaskPrediction(logits=result.logits.data.copy(), iou_pred=result.iou_pred.item())

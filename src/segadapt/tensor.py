@@ -3,8 +3,10 @@
 Values are row-major numpy buffers, float32 for training runs and float64 for
 gradient checking.  Every differentiable operation records its inputs and a
 gradient closure on the output node; ``backward`` walks that graph once in
-reverse topological order, accumulates ``.grad`` on every reachable tensor
-that requires gradients, and then frees the graph.
+reverse topological order, accumulates ``.grad`` on every reachable leaf
+(a tensor that requires gradients and was not produced by an operation), and
+then frees the graph.  Closures skip the gradient of any input that does not
+require one, such as a frozen weight or a constant.
 
 Broadcasting is deliberately restricted: binary elementwise operations accept
 equal shapes or a scalar (0-d) operand, nothing else.  The few structured
@@ -211,9 +213,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
 
-    Accumulates into ``.grad`` of every reachable tensor with
+    Accumulates into ``.grad`` of every reachable leaf with
     ``requires_grad`` (repeated calls keep accumulating until grads are
-    reset) and releases the recorded graph afterwards.
+    reset) and releases the recorded graph afterwards.  Intermediate nodes
+    keep ``.grad`` None: nothing reads it.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -241,14 +244,15 @@ def backward(loss: Tensor) -> None:
         g = flows.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad = g.copy() if node.grad is None else node.grad + g
-        if node._grad_fn is not None:
-            for parent, pg in zip(node._parents, node._grad_fn(g)):
-                if pg is None:
-                    continue
-                key = id(parent)
-                flows[key] = pg if key not in flows else flows[key] + pg
+        if node._grad_fn is None:
+            if node.requires_grad:
+                node.grad = g.copy() if node.grad is None else node.grad + g
+            continue
+        for parent, pg in zip(node._parents, node._grad_fn(g)):
+            if pg is None:
+                continue
+            key = id(parent)
+            flows[key] = pg if key not in flows else flows[key] + pg
         node._parents = ()
         node._grad_fn = None
 
@@ -262,7 +266,10 @@ def add(a: Tensor, b) -> Tensor:
     out = a.data + b.data
 
     def grad_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.shape) if b.requires_grad else None,
+        )
 
     return _node(out, (a, b), grad_fn)
 
@@ -273,7 +280,10 @@ def sub(a: Tensor, b) -> Tensor:
     out = a.data - b.data
 
     def grad_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.shape) if b.requires_grad else None,
+        )
 
     return _node(out, (a, b), grad_fn)
 
@@ -284,7 +294,10 @@ def mul(a: Tensor, b) -> Tensor:
     out = a.data * b.data
 
     def grad_fn(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (
+            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
+        )
 
     return _node(out, (a, b), grad_fn)
 
@@ -295,8 +308,8 @@ def div(a: Tensor, b) -> Tensor:
     out = a.data / b.data
 
     def grad_fn(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None
         return ga, gb
 
     return _node(out, (a, b), grad_fn)
@@ -327,8 +340,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def grad_fn(g):
-        ga = g @ b.data.swapaxes(-1, -2)
-        gb = a.data.swapaxes(-1, -2) @ g
+        ga = g @ b.data.swapaxes(-1, -2) if a.requires_grad else None
+        gb = a.data.swapaxes(-1, -2) @ g if b.requires_grad else None
         return ga, gb
 
     return _node(out, (a, b), grad_fn)
@@ -398,7 +411,10 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     splits = np.cumsum([t.shape[axis] for t in ts])[:-1]
 
     def grad_fn(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
+        return tuple(
+            np.ascontiguousarray(p) if t.requires_grad else None
+            for t, p in zip(ts, np.split(g, splits, axis=axis))
+        )
 
     return _node(out, ts, grad_fn)
 
@@ -412,7 +428,7 @@ def add_bias(x: Tensor, bias: Tensor) -> Tensor:
     out = x.data + bias.data[None, :]
 
     def grad_fn(g):
-        return g, g.sum(axis=0)
+        return (g if x.requires_grad else None), (g.sum(axis=0) if bias.requires_grad else None)
 
     return _node(out, (x, bias), grad_fn)
 
@@ -535,12 +551,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out = xhat * gain.data[None, :] + bias.data[None, :]
 
     def grad_fn(g):
-        dxhat = g * gain.data[None, :]
-        gx = inv * (
-            dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
-        )
-        return gx, (g * xhat).sum(axis=0), g.sum(axis=0)
+        gx = None
+        if x.requires_grad:
+            dxhat = g * gain.data[None, :]
+            gx = inv * (
+                dxhat
+                - dxhat.mean(axis=1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+            )
+        ggain = (g * xhat).sum(axis=0) if gain.requires_grad else None
+        return gx, ggain, (g.sum(axis=0) if bias.requires_grad else None)
 
     return _node(out, (x, gain, bias), grad_fn)

@@ -129,6 +129,12 @@ class TestExitCodes:
         assert code == 1
         assert "not a JSON object" in capsys.readouterr().err
 
+    def test_malformed_manifest_is_one(self, env, capsys, tmp_path):
+        (tmp_path / "manifest.json").write_text('{"format_version": 1}')
+        code = main(["eval", "--checkpoint", env["checkpoint"], "--data", str(tmp_path), "--domain", "source"])
+        assert code == 1
+        assert "lacks key 'domains'" in capsys.readouterr().err
+
     def test_tampered_fragment_is_two(self, env, capsys, tmp_path):
         run = tmp_path / "tampered"
         run.mkdir()

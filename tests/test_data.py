@@ -1,5 +1,7 @@
 """Synthetic volumes: determinism, paired domains, slice coherence, SDIM I/O."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,54 @@ class TestDatasetGeneration:
         assert manifest["format_version"] == 1
         with pytest.raises(ValidationError):
             load_manifest(tmp_path / "missing")
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [(b"{oops", "not JSON at offset 1"), (b'{"format_version": "\xff"}', "not UTF-8 at offset 20")],
+    )
+    def test_undecodable_manifest_is_a_format_error_with_offset(self, tmp_path, raw, message):
+        (tmp_path / "manifest.json").write_bytes(raw)
+        with pytest.raises(FormatError, match=message):
+            load_manifest(tmp_path)
+
+    def test_manifest_that_is_not_an_object(self, tmp_path):
+        (tmp_path / "manifest.json").write_text("[1]")
+        with pytest.raises(ValidationError, match="manifest.json is not a JSON object"):
+            load_manifest(tmp_path)
+
+    @pytest.mark.parametrize("key", ["splits", "domains"])
+    def test_manifest_lacking_a_key(self, tmp_path, key):
+        generate_dataset(tmp_path, sizes=SMALL)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        del doc[key]
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"manifest.json lacks key '{key}'"):
+            load_manifest(tmp_path)
+
+    def test_load_split_without_splits(self, tmp_path):
+        with pytest.raises(ValidationError, match="manifest.json lacks key 'splits'"):
+            load_split(tmp_path, {"format_version": 1}, "source_val")
+
+    @pytest.mark.parametrize("key", ["count", "volumes", "domain"])
+    def test_split_lacking_a_key(self, tmp_path, key):
+        manifest = generate_dataset(tmp_path, sizes=SMALL)
+        del manifest["splits"]["source_val"][key]
+        with pytest.raises(ValidationError, match=f"manifest.json split 'source_val' lacks key '{key}'"):
+            load_split(tmp_path, manifest, "source_val")
+
+    @pytest.mark.parametrize("volumes", [{"x1": []}, {"1": "a.sdim"}, {"1": [7]}])
+    def test_split_with_malformed_volumes(self, tmp_path, volumes):
+        manifest = generate_dataset(tmp_path, sizes=SMALL)
+        manifest["splits"]["source_val"]["volumes"] = volumes
+        with pytest.raises(ValidationError, match="must map a decimal id to a list of paths"):
+            load_split(tmp_path, manifest, "source_val")
+
+    def test_split_listing_a_missing_file(self, tmp_path):
+        manifest = generate_dataset(tmp_path, sizes=SMALL)
+        paths = next(iter(manifest["splits"]["source_val"]["volumes"].values()))
+        paths[0] = "source_val/absent.sdim"
+        with pytest.raises(ValidationError, match="absent.sdim'?, which cannot be read"):
+            load_split(tmp_path, manifest, "source_val")
 
     def test_indivisible_split_size_rejected(self):
         with pytest.raises(ValidationError, match="divisible"):

@@ -50,6 +50,18 @@ def samples(workspace):
     return load_split(workspace["data"], manifest, "source_val")
 
 
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    original = getattr(cls, name)
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
 class TestInteriorPrompt:
     def test_point_lies_on_mask(self, samples):
         for s in samples:
@@ -279,6 +291,14 @@ class TestLoadModel:
         with pytest.raises(ValidationError, match=f"ckpt.sdck.meta.json lacks key '{key}'"):
             load_model(ckpt)
 
+    @pytest.mark.parametrize("method", [[1], None, 3])
+    def test_sidecar_whose_method_is_not_a_string(self, workspace, tmp_path, method):
+        meta = json.loads((workspace["root"] / "base" / "checkpoint.sdck.meta.json").read_text())
+        meta["method"] = method
+        ckpt = self._with_sidecar(workspace, tmp_path, json.dumps(meta))
+        with pytest.raises(ValidationError, match="names no method"):
+            load_model(ckpt)
+
     @pytest.mark.parametrize("method", ["sam_da_dec", "sam_da_enc", "lora"])
     def test_sidecar_without_method_config(self, workspace, tmp_path, method):
         src = workspace["root"] / "base"
@@ -398,6 +418,14 @@ class TestTTDA:
         with pytest.raises(ValidationError, match=r"non-finite TTDA loss .* \(volume \d+, slice \d+\) at lr 1e\+30"):
             run_ttda(workspace["base"]["checkpoint"], workspace["data"], cfg)
 
+    def test_decodes_each_unadapted_slice_once(self, workspace, monkeypatch):
+        # One unadapted decode per slice (its own start and its role as another
+        # sample's positive or negative), one per iteration and one final.
+        calls = _count_calls(monkeypatch, SegmentationModel, "decode")
+        cfg = workspace["cfg"]
+        fragment = run_ttda(workspace["base"]["checkpoint"], workspace["data"], cfg)
+        assert len(calls) == fragment["count"] * (cfg.ttda.iterations + 2)
+
     def test_mean_fields_match_records(self, workspace):
         cfg = replace(workspace["cfg"], ttda=replace(workspace["cfg"].ttda, iterations=1))
         fragment = run_ttda(workspace["base"]["checkpoint"], workspace["data"], cfg)
@@ -495,6 +523,63 @@ class TestEmbeddingCache:
         images.clear()
         ttda = run_ttda(fragment["checkpoint"], workspace["data"], cfg)
         assert len(images) == len({id(image) for image in images}) == ttda["count"]
+
+
+class TestDecoderPrefixRule:
+    @pytest.mark.parametrize(
+        "method, frozen",
+        [
+            ("full_ft", False),
+            ("decoder_ft", False),
+            ("lora", False),
+            ("sam_da_dec", True),
+            ("sam_da_enc", False),
+        ],
+    )
+    def test_truth_table(self, method, frozen):
+        cfg = default_config()
+        model = SegmentationModel(cfg.model)
+        attach_method(model, method, cfg.adapter, cfg.lora)
+        assert model.decoder_prefix_frozen() is frozen
+
+    def test_ttda_fresh_adapter_on_full_ft_checkpoint(self, workspace):
+        model, _ = load_model(workspace["base"]["checkpoint"])
+        assert not model.decoder_prefix_frozen()
+        attach_method(model, "sam_da_dec", workspace["cfg"].adapter, None)
+        assert model.decoder_prefix_frozen()
+
+
+class TestDecoderPrefixCache:
+    def test_runs_equal_runs_without_it(self, workspace, tmp_path, monkeypatch):
+        cfg = _method_cfg(workspace, "sam_da_dec")
+        runs = {}
+        for cached in (True, False):
+            with monkeypatch.context() as m:
+                if not cached:
+                    m.setattr(SegmentationModel, "decoder_prefix_frozen", lambda self: False)
+                train = train_supervised(cfg, workspace["data"], tmp_path / f"cached_{cached}")
+                ttda = run_ttda(train["checkpoint"], workspace["data"], cfg)
+            runs[cached] = (
+                Path(train["checkpoint"]).read_bytes(), _drop_path(train), _drop_path(ttda)
+            )
+        assert runs[True] == runs[False]
+
+    def test_prompts_encoded_once_per_sample_and_prompt(self, workspace, tmp_path, monkeypatch):
+        calls = _count_calls(monkeypatch, SegmentationModel, "encode_prompts")
+        cfg = _method_cfg(workspace, "sam_da_dec")
+        fragment = train_supervised(cfg, workspace["data"], tmp_path / "run")
+        # Each sample has one seeded prompt set, reused by every epoch.
+        assert len(calls) == fragment["train_samples"] + SIZES.source_val
+        calls.clear()
+        ttda = run_ttda(fragment["checkpoint"], workspace["data"], cfg)
+        assert len(calls) == ttda["count"]
+
+    def test_memo_refuses_a_prefix_on_the_tape(self, workspace, tmp_path, monkeypatch):
+        # A rule that wrongly holds while decoder layer 0 trains must not
+        # reuse a stale prefix.
+        monkeypatch.setattr(SegmentationModel, "decoder_prefix_frozen", lambda self: True)
+        with pytest.raises(ContractError, match="decoder prefix .* autodiff tape"):
+            train_supervised(_method_cfg(workspace, "decoder_ft"), workspace["data"], tmp_path / "run")
 
 
 class TestAblation:

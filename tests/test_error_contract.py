@@ -1,0 +1,208 @@
+"""Mutated and truncated inputs end in the documented error classes.
+
+errors.py documents the contract: bad input raises ValidationError,
+FormatError, DimensionError or ContractError (CLI exit 1) or IntegrityError
+(exit 2); anything else is a bug.  Each loader here gets valid bytes with a
+few random edits -- byte replacements, insertions, deletions, a truncation --
+and the JSON loaders also get valid documents with one value replaced or
+removed.  Examples are bounded so the module stays fast.
+"""
+
+import json
+import shutil
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from segadapt.checkpoint import dump_bytes, load_bytes
+from segadapt.cli import main
+from segadapt.config import config_to_dict, default_config, load_config
+from segadapt.data import (
+    MANIFEST_NAME,
+    SplitSizes,
+    default_source_domain,
+    generate_dataset,
+    generate_sample,
+    load_manifest,
+    load_split,
+    sample_from_bytes,
+    sample_to_bytes,
+)
+from segadapt.errors import (
+    ContractError,
+    DimensionError,
+    FormatError,
+    IntegrityError,
+    ValidationError,
+)
+from segadapt.params import Init, ParameterRegistry
+
+DOCUMENTED = (ValidationError, FormatError, DimensionError, ContractError, IntegrityError)
+FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+
+@st.composite
+def byte_edits(draw, valid: bytes) -> bytes:
+    """``valid`` with one to four byte edits, then possibly truncated."""
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, max(len(data) - 1, 0)))
+        kind = draw(st.sampled_from(("replace", "insert", "delete")))
+        if kind == "replace" and data:
+            data[i] = draw(st.integers(0, 255))
+        elif kind == "insert":
+            data[i:i] = draw(st.binary(min_size=1, max_size=4))
+        else:
+            del data[i : i + draw(st.integers(1, 8))]
+    if draw(st.booleans()):
+        data = data[: draw(st.integers(0, len(data)))]
+    return bytes(data)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**40), 2**40)
+    | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def value_edit(draw, doc):
+    """A deep copy of ``doc`` with one nested value replaced or removed."""
+    doc = json.loads(json.dumps(doc))
+    parent, key = None, None
+    node = doc
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        parent, key = node, draw(st.sampled_from(keys))
+        node = node[key]
+    if parent is None:
+        return draw(JSON_VALUES)
+    if draw(st.booleans()):
+        parent[key] = draw(JSON_VALUES)
+    else:
+        del parent[key]
+    return doc
+
+
+def _json_bytes(doc) -> bytes:
+    return json.dumps(doc, indent=2, sort_keys=True).encode()
+
+
+def _only_documented(call, *args) -> None:
+    try:
+        call(*args)
+    except DOCUMENTED:
+        pass
+
+
+# -- config ---------------------------------------------------------------------
+
+CONFIG_DOC = config_to_dict(default_config())
+
+
+@FUZZ
+@given(data=st.data())
+def test_load_config_raises_only_documented_errors(tmp_path, data):
+    raw = data.draw(st.one_of(byte_edits(_json_bytes(CONFIG_DOC)), value_edit(CONFIG_DOC).map(_json_bytes)))
+    path = tmp_path / "run.json"
+    path.write_bytes(raw)
+    _only_documented(load_config, path)
+
+
+# -- SDCK and SDIM ------------------------------------------------------------------
+
+
+def _small_checkpoint() -> bytes:
+    reg = ParameterRegistry()
+    reg.add("a.weight", (3, 4), Init.lecun())
+    reg.add("a.bias", (4,), Init.zeros())
+    reg.add("gate", (), Init.zeros())
+    reg.initialize(0)
+    return dump_bytes(reg)
+
+
+@FUZZ
+@given(data=st.data())
+def test_load_bytes_raises_only_documented_errors(data):
+    _only_documented(load_bytes, data.draw(byte_edits(_small_checkpoint())))
+
+
+def _small_sample() -> bytes:
+    return sample_to_bytes(generate_sample(default_source_domain(), volume_seed=0, slice_index=3))
+
+
+@FUZZ
+@given(data=st.data())
+def test_sample_from_bytes_raises_only_documented_errors(data):
+    _only_documented(sample_from_bytes, data.draw(byte_edits(_small_sample())))
+
+
+# -- manifest -----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract") / "data"
+    generate_dataset(root, sizes=SplitSizes(10, 10, 10, 10, 10))
+    return root
+
+
+def _load_every_split(root):
+    manifest = load_manifest(root)
+    for split in manifest["splits"]:
+        load_split(root, manifest, split)
+
+
+@FUZZ
+@given(data=st.data())
+def test_load_manifest_and_split_raise_only_documented_errors(dataset, data):
+    doc = json.loads((dataset / MANIFEST_NAME).read_bytes())
+    raw = data.draw(st.one_of(byte_edits(_json_bytes(doc)), value_edit(doc).map(_json_bytes)))
+    root = dataset.parent / "mutated"
+    if not root.exists():
+        shutil.copytree(dataset, root)
+    (root / MANIFEST_NAME).write_bytes(raw)
+    _only_documented(_load_every_split, root)
+
+
+# -- command line -----------------------------------------------------------------------
+
+
+def _exits_cleanly(argv, capsys) -> None:
+    code = main(argv)  # an undocumented exception escapes here as a test error
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert "Traceback" not in err and err.startswith(("error:", "integrity error:"))
+
+
+@FUZZ
+@given(data=st.data())
+def test_cli_rejects_a_mutated_config_with_exit_one_or_two(tmp_path, capsys, data):
+    # The dataset directory is empty, so a config that still loads fails on
+    # the missing manifest: every run ends in an error, never in training.
+    raw = data.draw(st.one_of(byte_edits(_json_bytes(CONFIG_DOC)), value_edit(CONFIG_DOC).map(_json_bytes)))
+    path = tmp_path / "run.json"
+    path.write_bytes(raw)
+    _exits_cleanly(["train", "--config", str(path), "--data", str(tmp_path), "--out", str(tmp_path / "o")], capsys)
+
+
+@FUZZ
+@given(data=st.data())
+def test_cli_rejects_a_mutated_manifest_with_exit_one_or_two(dataset, tmp_path, capsys, data):
+    # The checkpoint is missing, so a manifest that still loads fails there.
+    doc = json.loads((dataset / MANIFEST_NAME).read_bytes())
+    raw = data.draw(st.one_of(byte_edits(_json_bytes(doc)), value_edit(doc).map(_json_bytes)))
+    root = dataset.parent / "cli"
+    if not root.exists():
+        shutil.copytree(dataset, root)
+    (root / MANIFEST_NAME).write_bytes(raw)
+    argv = ["eval", "--checkpoint", str(tmp_path / "absent.sdck"), "--data", str(root), "--domain", "source"]
+    _exits_cleanly(argv, capsys)

@@ -338,3 +338,30 @@ class TestBackward:
         y = softmax(x @ x.T, axis=1) @ x
         y = layer_norm(y, Tensor(np.ones(6)), Tensor(np.zeros(6)))
         assert np.all(np.isfinite(y.gelu().sigmoid().data))
+
+    def test_grads_land_on_trainable_leaves_only(self):
+        x = Tensor(np.ones((2, 3)))  # a constant input
+        w = Tensor(np.full((3, 2), 0.5), requires_grad=True)
+        frozen = Tensor(np.full((2,), 2.0))  # a weight that does not train
+        h = add_bias(x @ w, frozen)
+        backward((h * h).sum())
+        assert w.grad is not None
+        assert h.grad is None and frozen.grad is None and x.grad is None
+
+    def test_closures_skip_inputs_that_need_no_gradient(self):
+        rng = np.random.default_rng(5)
+        const = Tensor(rng.standard_normal((3, 4)))
+        w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        gain = Tensor(np.ones(4), requires_grad=True)
+        bias = Tensor(np.zeros(4))
+        for out, needed in [
+            (const @ w, (False, True)),
+            (add_bias(const @ w, bias), (True, False)),
+            (layer_norm(const @ w, gain, bias), (True, True, False)),
+            (const * (const @ w), (False, True)),
+            (const / (const @ w), (False, True)),
+            ((const @ w) - const, (True, False)),
+            (concat([const, const @ w], axis=0), (False, True)),
+        ]:
+            grads = out._grad_fn(np.ones(out.shape, dtype=np.float32))
+            assert tuple(pg is not None for pg in grads) == needed
