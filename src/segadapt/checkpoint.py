@@ -43,6 +43,27 @@ def dump_bytes(registry: ParameterRegistry, prefix: str | None = None) -> bytes:
     return b"".join(parts)
 
 
+def first_difference(registry: ParameterRegistry, reference: dict[str, np.ndarray]) -> str | None:
+    """What ``dump_bytes(registry)`` would differ in from the checkpoint
+    ``reference`` was parsed from (by ``load_bytes``), or None if nothing.
+
+    Compares what the serialized form holds -- the sorted names, each shape
+    and each parameter's float32 bytes -- one parameter at a time, without
+    building the blob.  Bytes, not values: -0.0 differs from 0.0 and NaN
+    payloads are told apart, exactly as in the serialized compare.
+    """
+    names = registry.names()
+    if names != list(reference):
+        return "the parameter names"
+    for name in names:
+        data, expected = registry.get(name).data, reference[name]
+        if data.shape != expected.shape:
+            return f"the shape of {name!r}"
+        if np.ascontiguousarray(data, dtype="<f4").tobytes() != expected.tobytes():
+            return f"the values of {name!r}"
+    return None
+
+
 def save(path, registry: ParameterRegistry, prefix: str | None = None) -> None:
     with open(path, "wb") as fh:
         fh.write(dump_bytes(registry, prefix=prefix))

@@ -4,8 +4,9 @@ Protocol: a base model is fully trained on the source domain once, then each
 method (full_ft, decoder_ft, lora, sam_da_dec, sam_da_enc) adapts from that
 shared checkpoint under its freeze policy.  Evaluation prompts each mask with
 one seeded interior click.  Test-time adaptation tunes the method's trainable
-set per sample with unsupervised losses and restores the checkpoint bytes --
-verified exactly -- before touching the next sample.
+set per sample with unsupervised losses, then restores the trained parameters
+and checks every parameter's bytes against the checkpoint before touching the
+next sample.
 
 Every run writes JSON fragments; emit_report aggregates them, recomputing all
 means from the stored per-image lists and refusing to report numbers that do
@@ -14,6 +15,7 @@ not reproduce.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -30,7 +32,7 @@ from .adapter import (
     attach_encoder_adapter,
     attach_lora,
 )
-from .checkpoint import dump_bytes, load_bytes, restore
+from .checkpoint import dump_bytes, first_difference, load_bytes, restore
 from .config import RunConfig, config_to_dict, overlay
 from .data import Sample, load_manifest, load_split, read_json_object
 from .errors import ContractError, IntegrityError, ValidationError
@@ -510,6 +512,32 @@ def _ttda_sample(
     }
 
 
+def _unadapted(model: SegmentationModel, inputs: Inputs, seed: int):
+    """``unadapted(sample) -> (prompts, logits, pooled dense embedding)`` of a
+    slice under the reference weights, computed once per slice: as the
+    sample's own starting point and as another sample's positive or negative.
+    Only called while the weights equal the reference."""
+    memo: dict[tuple[int, int], tuple[PromptSet, Tensor, np.ndarray]] = {}
+
+    def unadapted(s: Sample) -> tuple[PromptSet, Tensor, np.ndarray]:
+        key = (s.volume_id, s.slice_index)
+        if key not in memo:
+            prompts = interior_prompt(s.mask, prompt_rng(seed, *key))
+            reused = inputs(s, prompts)  # with the tape on, so the memo's tape check applies
+            with no_grad():
+                out = model.forward(s.image, prompts, *reused)
+            memo[key] = (prompts, out.logits, out.dense.data.mean(axis=0))
+        return memo[key]
+
+    return unadapted
+
+
+def _volume_runs(samples: Sequence[Sample]) -> list[list[Sample]]:
+    """Consecutive samples of one volume, in order (``load_split`` keeps a
+    volume's slices together)."""
+    return [list(run) for _, run in itertools.groupby(samples, key=lambda s: s.volume_id)]
+
+
 def run_ttda(
     checkpoint: str | Path,
     data_root: str | Path,
@@ -520,8 +548,9 @@ def run_ttda(
 
     Checkpoints without any adapter get a fresh zero-gated decoder adapter
     (predictions initially unchanged); adapter checkpoints tune their own
-    adapter.  After each sample the registry is restored and re-serialized,
-    and any byte difference from the reference aborts the run.
+    adapter.  After each sample the trained parameters are restored and
+    every parameter's bytes are compared with the reference; any difference
+    aborts the run.
     """
     cfg.validate()
     settings = cfg.ttda
@@ -533,38 +562,27 @@ def run_ttda(
     model, meta = load_model(checkpoint)
     if not any(n.startswith("adapter.") for n in model.registry.names()):
         attach_method(model, "sam_da_dec", cfg.adapter, None, seed=settings.seed)
-    reference = dump_bytes(model.registry)
-    # Parsed once; each reset still goes through restore() and is audited
-    # against the reference bytes.
-    reference_values = load_bytes(reference)
-    inputs = _frozen_inputs(model)
+    # Parsed once.  A sample changes only the parameters that train, so only
+    # those are reset; the audit still covers every parameter.
+    reference = load_bytes(dump_bytes(model.registry))
+    trained = {p.name: reference[p.name] for p in model.registry.trainable_parameters()}
 
     adapt = any((settings.lambda_entropy, settings.lambda_proximity, settings.lambda_contrastive))
-    unadapted_by_slice: dict[tuple[int, int], tuple[PromptSet, Tensor, np.ndarray]] = {}
-
-    def unadapted(s: Sample) -> tuple[PromptSet, Tensor, np.ndarray]:
-        """A slice's prompts, logits and pooled dense embedding under the
-        reference weights, computed once per slice: as the sample's own
-        starting point and as another sample's positive or negative.  Only
-        called while the weights equal the reference."""
-        key = (s.volume_id, s.slice_index)
-        if key not in unadapted_by_slice:
-            prompts = interior_prompt(s.mask, prompt_rng(settings.seed, *key))
-            reused = inputs(s, prompts)  # with the tape on, so the memo's tape check applies
-            with no_grad():
-                out = model.forward(s.image, prompts, *reused)
-            unadapted_by_slice[key] = (prompts, out.logits, out.dense.data.mean(axis=0))
-        return unadapted_by_slice[key]
-
     records = []
-    for s in samples:
-        records.append(_ttda_sample(model, s, volumes[s.volume_id], cfg, adapt, inputs, unadapted))
-        restore(model.registry, reference_values)
-        if dump_bytes(model.registry) != reference:
-            raise IntegrityError(
-                f"weights after restoring sample (volume {s.volume_id}, slice "
-                f"{s.slice_index}) differ from the checkpoint"
-            )
+    for run in _volume_runs(samples):
+        # Memos live for one volume: a sample's positive and negatives are
+        # slices of its own volume.
+        inputs = _frozen_inputs(model)
+        unadapted = _unadapted(model, inputs, settings.seed)
+        for s in run:
+            records.append(_ttda_sample(model, s, volumes[s.volume_id], cfg, adapt, inputs, unadapted))
+            restore(model.registry, trained, strict=False)
+            difference = first_difference(model.registry, reference)
+            if difference is not None:
+                raise IntegrityError(
+                    f"weights after restoring sample (volume {s.volume_id}, slice "
+                    f"{s.slice_index}) differ from the checkpoint in {difference}"
+                )
 
     before = [r["iou_before"] for r in records]
     after = [r["iou_after"] for r in records]
@@ -674,7 +692,51 @@ def _check_mean(stored: float, values: Sequence[float], context: str) -> None:
         )
 
 
+def _is_int(v) -> bool:
+    # Bounded so that every integer converts to a float exactly.
+    return isinstance(v, int) and not isinstance(v, bool) and abs(v) <= 2**53
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+def _is_scores(v) -> bool:
+    return isinstance(v, list) and bool(v) and all(_is_number(x) for x in v)
+
+
+def _is_records(v) -> bool:
+    return isinstance(v, list) and bool(v) and all(
+        isinstance(r, dict) and _is_number(r.get("iou_before")) and _is_number(r.get("iou_after"))
+        for r in v
+    )
+
+
+_TEXT = (lambda v: isinstance(v, str), "a string")
+_INT = (_is_int, "an integer")
+_NUMBER = (_is_number, "a finite number")
+# Per fragment kind, each key the report reads and what it must hold.
+_FRAGMENT_KEYS = {
+    "train": {
+        "method": _TEXT,
+        "trainable_params": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+        "total_params": (lambda v: _is_int(v) and v > 0, "a positive integer"),
+    },
+    "eval": {
+        "method": _TEXT, "seed": _INT, "domain": _TEXT, "split": _TEXT, "mean": _NUMBER,
+        "per_image": (_is_scores, "a non-empty list of finite numbers"),
+    },
+    "ttda": {
+        "method": _TEXT, "split": _TEXT, "count": _INT,
+        "mean_iou_before": _NUMBER, "mean_iou_after": _NUMBER, "entropy_improved_fraction": _NUMBER,
+        "per_sample": (_is_records, "a non-empty list of objects with finite 'iou_before' and 'iou_after'"),
+    },
+}
+
+
 def collect_fragments(run_dir: str | Path) -> list[dict]:
+    """Every run fragment under ``run_dir``, each checked to hold the keys
+    the report reads; a malformed one is a ValidationError naming path and key."""
     run_dir = Path(run_dir)
     fragments = []
     for path in sorted(run_dir.rglob("*.json")):
@@ -682,9 +744,16 @@ def collect_fragments(run_dir: str | Path) -> list[dict]:
             doc = json.loads(path.read_bytes())
         except (json.JSONDecodeError, UnicodeDecodeError):
             continue
-        if isinstance(doc, dict) and doc.get("kind") in ("train", "eval", "ttda"):
-            doc["_path"] = str(path)
-            fragments.append(doc)
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        if not isinstance(kind, str) or kind not in _FRAGMENT_KEYS:
+            continue
+        for key, (valid, what) in _FRAGMENT_KEYS[kind].items():
+            if key not in doc:
+                raise ValidationError(f"{kind} fragment {path} lacks key {key!r}")
+            if not valid(doc[key]):
+                raise ValidationError(f"{kind} fragment {path}: key {key!r} must be {what}")
+        doc["_path"] = str(path)
+        fragments.append(doc)
     if not fragments:
         raise ValidationError(f"no run fragments found under {run_dir}")
     return fragments

@@ -159,10 +159,20 @@ class ParameterRegistry:
 
 # -- AdamW ---------------------------------------------------------------------
 
+# Trainable parameters are grouped, in name order, into buckets of at most
+# this many values (a larger parameter gets a bucket of its own).  Each bucket
+# holds its weights and both moments in flat buffers, and the scratch is one
+# bucket long, so no buffer is the size of a full registry.
+BUCKET_ELEMENTS = 1 << 16
+
 
 @dataclass
 class AdamWState:
-    """Optimizer state: decoupled weight decay, bias-corrected moments."""
+    """Optimizer state: decoupled weight decay, bias-corrected moments.
+
+    ``m`` and ``v`` map parameter names to views into the moment buffers of
+    ``buckets``.
+    """
 
     lr: float
     beta1: float = 0.9
@@ -172,6 +182,60 @@ class AdamWState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    buckets: list = field(default_factory=list, repr=False, compare=False)
+    scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+
+class _Bucket:
+    """Consecutive trainable parameters gathered into flat buffers.
+
+    Each parameter's values are copied into ``w`` and its ``.data`` rebound
+    to a view of it; moments carry over by name from ``state.m``/``state.v``
+    (zeros for a new name or shape), which then hold views of ``m``/``v``.
+    """
+
+    def __init__(self, params: list[Parameter], dtype, state: AdamWState):
+        total = sum(p.tensor.data.size for p in params)
+        self.w = np.empty(total, dtype=dtype)
+        self.m = np.zeros(total, dtype=dtype)
+        self.v = np.zeros(total, dtype=dtype)
+        self.members: list[tuple[Parameter, int, np.ndarray]] = []  # (param, offset, bound view)
+        start = 0
+        for param in params:
+            data = param.tensor.data
+            span = slice(start, start + data.size)
+            self.w[span] = data.reshape(-1)
+            for flat, moments in ((self.m, state.m), (self.v, state.v)):
+                old = moments.get(param.name)
+                if old is not None and old.shape == data.shape:
+                    flat[span] = old.reshape(-1)
+                moments[param.name] = flat[span].reshape(data.shape)
+            param.tensor.data = self.w[span].reshape(data.shape)
+            self.members.append((param, start, param.tensor.data))
+            start += data.size
+
+
+def _gather(params: list[Parameter], dtype, state: AdamWState) -> list[_Bucket]:
+    # One bucket at a time: the arrays a bucket releases can hold the next.
+    buckets, group, size = [], [], 0
+    for param in params:
+        if group and size + param.tensor.data.size > BUCKET_ELEMENTS:
+            buckets.append(_Bucket(group, dtype, state))
+            group, size = [], 0
+        group.append(param)
+        size += param.tensor.data.size
+    if group:
+        buckets.append(_Bucket(group, dtype, state))
+    return buckets
+
+
+def _bound(buckets: list[_Bucket], params: list[Parameter]) -> bool:
+    """Whether ``params`` are exactly the gathered parameters, each ``.data``
+    still the view it was bound to (``restore``, say, rebinds it)."""
+    members = [member for bucket in buckets for member in bucket.members]
+    return len(params) == len(members) and all(
+        p is q and p.tensor.data is view for p, (q, _, view) in zip(params, members)
+    )
 
 
 def adamw_step(registry: ParameterRegistry, state: AdamWState) -> None:
@@ -179,29 +243,59 @@ def adamw_step(registry: ParameterRegistry, state: AdamWState) -> None:
 
     Weight decay is applied to the weights directly (never to the gradient),
     so lr == 0 is a strict no-op on parameter values.  A trainable parameter
-    without a populated gradient is a caller error.
+    without a gradient of its own shape and dtype is a caller error.
+
+    The update runs in place, bucket by bucket, with the same float ops in
+    the same order per element as the textbook per-parameter form.
+    Afterwards each trainable ``.data`` is a view into a bucket that later
+    steps overwrite, so a caller wanting a snapshot copies it.  Parameters
+    are gathered again, keeping their current values, whenever the
+    trainable set changed or a ``.data`` was rebound since the last step.
     """
+    params = list(registry.trainable_parameters())
+    for param in params:
+        g = param.tensor.grad
+        if g is None:
+            raise ContractError(f"trainable parameter {param.name!r} has no gradient")
+        if g.shape != param.tensor.data.shape or g.dtype != registry.dtype:
+            raise ContractError(
+                f"gradient of {param.name!r} is {g.dtype}{list(g.shape)}, "
+                f"parameter is {np.dtype(registry.dtype)}{list(param.tensor.data.shape)}"
+            )
+    if not _bound(state.buckets, params):
+        state.buckets = _gather(params, registry.dtype, state)
+        largest = max((bucket.w.size for bucket in state.buckets), default=0)
+        state.scratch = np.empty((2, largest), dtype=registry.dtype)
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for param in registry.trainable_parameters():
-        g = param.tensor.grad
-        if g is None:
-            raise ContractError(f"trainable parameter {param.name!r} has no gradient")
-        m = state.m.get(param.name)
-        v = state.v.get(param.name)
-        if m is None:
-            m = np.zeros_like(param.tensor.data)
-            v = np.zeros_like(param.tensor.data)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        state.m[param.name] = m
-        state.v[param.name] = v
-        w = param.tensor.data
+    for bucket in state.buckets:
+        m, v, w = bucket.m, bucket.v, bucket.w
+        g, tmp = state.scratch[0, : w.size], state.scratch[1, : w.size]
+        for param, offset, _ in bucket.members:
+            grad = param.tensor.grad.reshape(-1)
+            g[offset : offset + grad.size] = grad
+        # m = beta1 * m + (1 - beta1) * g
+        np.multiply(m, state.beta1, out=m)
+        np.multiply(g, 1.0 - state.beta1, out=tmp)
+        np.add(m, tmp, out=m)
+        # v = beta2 * v + (1 - beta2) * (g * g)
+        np.multiply(v, state.beta2, out=v)
+        np.multiply(g, g, out=tmp)
+        np.multiply(tmp, 1.0 - state.beta2, out=tmp)
+        np.add(v, tmp, out=v)
         if state.weight_decay:
-            w = w - state.lr * state.weight_decay * w
-        w = w - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        param.tensor.data = w.astype(param.tensor.data.dtype, copy=False)
-    for param in registry.trainable_parameters():
+            # w = w - lr * weight_decay * w
+            np.multiply(w, state.lr * state.weight_decay, out=tmp)
+            np.subtract(w, tmp, out=w)
+        # w = w - lr * (m / bc1) / (sqrt(v / bc2) + eps), g now scratch
+        np.divide(m, bc1, out=tmp)
+        np.multiply(tmp, state.lr, out=tmp)
+        np.divide(v, bc2, out=g)
+        np.sqrt(g, out=g)
+        np.add(g, state.eps, out=g)
+        np.divide(tmp, g, out=tmp)
+        np.subtract(w, tmp, out=w)
+    for param in params:
         param.tensor.grad = None

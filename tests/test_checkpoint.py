@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segadapt import Init, ParameterRegistry
 from segadapt import checkpoint as ckpt
@@ -135,3 +137,84 @@ class TestCheckpointFormat:
         other.initialize(seed=0)
         with pytest.raises(ContractError):
             ckpt.restore(other, blob, prefix="decoder.")
+
+
+# -- the per-parameter byte audit -------------------------------------------------------
+
+
+def _with_bits(value_bits: int) -> np.ndarray:
+    return np.asarray(value_bits, dtype=np.uint32).view(np.float32)
+
+
+def _copy(reg, skip=None):
+    out = ParameterRegistry(dtype=reg.dtype)
+    for p in reg.parameters():
+        if p.name != skip:
+            out.add(p.name, p.tensor.shape, p.init).tensor.data = p.tensor.data.copy()
+    return out
+
+
+def _perturb(reg, draw):
+    """``reg`` after one random edit; a returned registry replaces it."""
+    names = reg.names()
+    name = draw(st.sampled_from(names)) if names else None
+    kind = draw(st.sampled_from(("value", "zero", "nan", "reshape", "add", "remove", "float64")))
+    if name is None or kind == "add":
+        new = draw(st.sampled_from(("adapter.dec0.extra", "zzz.last", "a.first")))
+        if new not in reg:
+            reg.add(new, (2,), Init.zeros())
+        return reg
+    data = reg.get(name).data
+    if kind == "remove":
+        return _copy(reg, skip=name)
+    if kind == "reshape":
+        reg.get(name).data = data.reshape(draw(st.sampled_from(((data.size,), (1, data.size), (data.size, 1)))))
+        return reg
+    if kind == "float64":
+        delta = draw(st.sampled_from((0.0, 1e-12, 1e-3)))  # 1e-12 rounds away in float32
+        with np.errstate(invalid="ignore"):  # a signalling NaN turns quiet
+            reg.get(name).data = data.astype(np.float64) + delta
+        return reg
+    if data.size == 0:
+        return reg
+    i = draw(st.integers(0, data.size - 1))
+    flat = data.reshape(-1).copy()
+    if kind == "value":
+        flat[i] = draw(st.floats(width=32, allow_nan=False))
+    elif kind == "zero":
+        flat[i] = draw(st.sampled_from((0.0, -0.0)))
+    else:  # a quiet or signalling NaN with any payload and sign
+        flat[i] = _with_bits(draw(st.sampled_from((0x7F800000, 0xFF800000))) | draw(st.integers(1, 0x7FFFFF)))
+    reg.get(name).data = flat.reshape(data.shape)
+    return reg
+
+
+class TestFirstDifference:
+    def test_untouched_registry_has_none(self):
+        reg = build_registry()
+        assert ckpt.first_difference(reg, ckpt.load_bytes(ckpt.dump_bytes(reg))) is None
+
+    @pytest.mark.parametrize(
+        "stored, current",
+        [(0.0, -0.0), (_with_bits(0x7FC00000), _with_bits(0x7FC00001))],
+        ids=["signed-zero", "nan-payload"],
+    )
+    def test_compares_bytes_not_values(self, stored, current):
+        reg = build_registry()
+        reg.get("adapter.dec0.gate").data = np.asarray(stored, dtype=np.float32)
+        reference = ckpt.load_bytes(ckpt.dump_bytes(reg))
+        # the same NaN bytes match although NaN != NaN as a value
+        assert ckpt.first_difference(reg, reference) is None
+        reg.get("adapter.dec0.gate").data = np.asarray(current, dtype=np.float32)
+        assert ckpt.first_difference(reg, reference) == "the values of 'adapter.dec0.gate'"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_flags_exactly_what_the_serialized_compare_flags(self, data):
+        reg = build_registry()
+        reg.get("decoder.mix.weight").data[0, 1] = -0.0  # a signed zero to flip back
+        blob = ckpt.dump_bytes(reg)
+        reference = ckpt.load_bytes(blob)
+        for _ in range(data.draw(st.integers(1, 3))):
+            reg = _perturb(reg, data.draw)
+        assert (ckpt.first_difference(reg, reference) is not None) == (ckpt.dump_bytes(reg) != blob)

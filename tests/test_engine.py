@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 from segadapt.adapter import trainable_predicate
+from segadapt.checkpoint import dump_bytes
 from segadapt.config import default_config
 from segadapt.data import SplitSizes, generate_dataset, load_manifest, load_split
 from segadapt.engine import (
@@ -24,6 +27,7 @@ from segadapt.engine import (
     prompt_rng,
     run_ablation,
     run_ttda,
+    save_checkpoint,
     train_supervised,
 )
 from segadapt.errors import ContractError, FormatError, IntegrityError, ValidationError
@@ -412,6 +416,46 @@ class TestTTDA:
         with pytest.raises(IntegrityError, match="differ from the checkpoint"):
             run_ttda(workspace["base"]["checkpoint"], workspace["data"], cfg)
 
+    def test_audit_catches_a_frozen_weight_nudged_during_a_sample(self, workspace, monkeypatch):
+        # Only the trained parameters are reset, so the audit must see this.
+        import segadapt.engine as engine
+
+        real_sample = engine._ttda_sample
+        nudged = []
+
+        def nudging(model, *args):
+            record = real_sample(model, *args)
+            name = next(n for n in model.registry.names() if n.startswith("encoder."))
+            assert not model.registry.param(name).trainable
+            model.registry.get(name).data.flat[0] += 1e-3
+            nudged.append(name)
+            return record
+
+        monkeypatch.setattr(engine, "_ttda_sample", nudging)
+        cfg = replace(workspace["cfg"], ttda=replace(workspace["cfg"].ttda, iterations=1))
+        with pytest.raises(IntegrityError, match="differ from the checkpoint in the values of 'encoder."):
+            run_ttda(workspace["base"]["checkpoint"], workspace["data"], cfg)
+        assert len(nudged) == 1
+
+    def test_each_reset_restores_only_the_trained_parameters(self, workspace, monkeypatch):
+        import segadapt.engine as engine
+
+        real_restore = engine.restore
+        resets = []
+
+        def recording(registry, source, **kwargs):
+            resets.append((set(source) if isinstance(source, dict) else None,
+                           {p.name for p in registry.trainable_parameters()}))
+            real_restore(registry, source, **kwargs)
+
+        monkeypatch.setattr(engine, "restore", recording)
+        cfg = replace(workspace["cfg"], ttda=replace(workspace["cfg"].ttda, iterations=1))
+        fragment = run_ttda(workspace["base"]["checkpoint"], workspace["data"], cfg)
+        resets = resets[1:]  # the first loads the checkpoint
+        assert len(resets) == fragment["count"]
+        for restored, trained in resets:
+            assert restored == trained and all(n.startswith("adapter.") for n in trained)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_names_sample_and_lr(self, workspace):
         cfg = replace(workspace["cfg"], ttda=replace(workspace["cfg"].ttda, lr=1e30, iterations=2))
@@ -435,6 +479,64 @@ class TestTTDA:
         assert fragment["mean_iou_after"] == pytest.approx(
             np.mean([r["iou_after"] for r in fragment["per_sample"]]), abs=1e-12
         )
+
+
+class TestTTDAMemoScope:
+    """TTDA's memos live for one volume: a sample's positive and negatives
+    are slices of its own volume, so nothing a finished volume memoized is
+    read again."""
+
+    @pytest.fixture(scope="class")
+    def two_volumes(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("volumes")
+        cfg = default_config()
+        cfg = replace(cfg, data=replace(cfg.data, sizes=SplitSizes(10, 10, 20, 10, 20)),
+                      ttda=replace(cfg.ttda, iterations=1))
+        generate_dataset(root / "data", cfg.data.source, cfg.data.target, cfg.data.sizes)
+        checkpoint = root / "start" / "checkpoint.sdck"
+        weights = dump_bytes(SegmentationModel(cfg.model).registry)
+        save_checkpoint(checkpoint, weights, "full_ft", cfg.model, None, None, 0)
+        return {"data": root / "data", "cfg": cfg, "checkpoint": checkpoint}
+
+    def _run(self, two_volumes, monkeypatch, scoped):
+        """The fragment, and the volumes whose embeddings were still alive
+        when a later volume's sample started."""
+        import segadapt.engine as engine
+
+        embeddings = []  # (volume id, weak reference)
+        alive = set()
+        real_inputs, real_sample = engine._frozen_inputs, engine._ttda_sample
+
+        def recording_inputs(model):
+            inputs = real_inputs(model)
+
+            def recorded(s, prompts):
+                embedding, prefix = inputs(s, prompts)
+                embeddings.append((s.volume_id, weakref.ref(embedding)))
+                return embedding, prefix
+
+            return recorded
+
+        def checking_sample(model, s, *args):
+            gc.collect()
+            alive.update(v for v, ref in embeddings if v != s.volume_id and ref() is not None)
+            return real_sample(model, s, *args)
+
+        monkeypatch.setattr(engine, "_frozen_inputs", recording_inputs)
+        monkeypatch.setattr(engine, "_ttda_sample", checking_sample)
+        if not scoped:
+            monkeypatch.setattr(engine, "_volume_runs", lambda samples: [list(samples)])
+        fragment = run_ttda(two_volumes["checkpoint"], two_volumes["data"], two_volumes["cfg"])
+        assert len({v for v, _ in embeddings}) == 2
+        return fragment, alive
+
+    def test_a_finished_volume_is_collectable_and_the_fragment_unchanged(self, two_volumes, monkeypatch):
+        scoped, alive = self._run(two_volumes, monkeypatch, scoped=True)
+        assert alive == set()
+        with monkeypatch.context() as m:
+            unscoped, kept = self._run(two_volumes, m, scoped=False)
+        assert kept  # one memo for the whole split keeps the first volume alive
+        assert scoped == unscoped
 
 
 def _method_cfg(workspace, method):

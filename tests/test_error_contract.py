@@ -206,3 +206,80 @@ def test_cli_rejects_a_mutated_manifest_with_exit_one_or_two(dataset, tmp_path, 
     (root / MANIFEST_NAME).write_bytes(raw)
     argv = ["eval", "--checkpoint", str(tmp_path / "absent.sdck"), "--data", str(root), "--domain", "source"]
     _exits_cleanly(argv, capsys)
+
+
+# -- report fragments -------------------------------------------------------------------
+
+REPORT_FRAGMENTS = {
+    "train.json": {
+        "kind": "train", "method": "sam_da_dec", "seed": 0, "trainable_params": 10, "total_params": 100,
+    },
+    "eval.json": {
+        "kind": "eval", "method": "sam_da_dec", "seed": 0, "domain": "target", "split": "test",
+        "count": 2, "per_image": [0.5, 0.75], "mean": 0.625, "std": 0.125,
+    },
+    "ttda.json": {
+        "kind": "ttda", "method": "sam_da_dec", "seed": 0, "split": "target_test", "count": 2,
+        "per_sample": [
+            {"volume_id": 0, "slice_index": 0, "iou_before": 0.5, "iou_after": 0.5},
+            {"volume_id": 0, "slice_index": 1, "iou_before": 0.25, "iou_after": 0.5},
+        ],
+        "mean_iou_before": 0.375, "mean_iou_after": 0.5, "entropy_improved_fraction": 1.0,
+    },
+}
+
+
+def _write_run(run, replaced=None, raw=b""):
+    run.mkdir(exist_ok=True)
+    for name, doc in REPORT_FRAGMENTS.items():
+        (run / name).write_bytes(raw if name == replaced else _json_bytes(doc))
+
+
+def test_cli_report_accepts_the_unedited_fragments(tmp_path, capsys):
+    _write_run(tmp_path)
+    assert main(["report", "--run", str(tmp_path)]) == 0
+    assert "IoU 0.3750 -> 0.5000 over 2 samples" in capsys.readouterr().out
+
+
+def _drop(key):
+    return lambda doc: doc.pop(key)
+
+
+def _set(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "name, edit, key",
+    [
+        ("eval.json", _drop("mean"), "mean"),
+        ("eval.json", _set("per_image", ["0.5", "high"]), "per_image"),
+        ("train.json", _drop("trainable_params"), "trainable_params"),
+        ("ttda.json", lambda doc: doc["per_sample"].__setitem__(1, 0.5), "per_sample"),
+    ],
+    ids=["eval-without-mean", "non-numeric-per-image", "train-without-trainable-params", "ttda-sample-not-object"],
+)
+def test_cli_report_rejects_a_malformed_fragment_naming_path_and_key(tmp_path, capsys, name, edit, key):
+    doc = json.loads(json.dumps(REPORT_FRAGMENTS[name]))
+    edit(doc)
+    _write_run(tmp_path, name, _json_bytes(doc))
+    assert main(["report", "--run", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path / name) in err and repr(key) in err
+
+
+def test_cli_report_keeps_a_mean_that_does_not_reproduce_an_integrity_error(tmp_path, capsys):
+    _write_run(tmp_path, "eval.json", _json_bytes({**REPORT_FRAGMENTS["eval.json"], "mean": 0.6}))
+    assert main(["report", "--run", str(tmp_path)]) == 2
+    assert "does not reproduce" in capsys.readouterr().err
+
+
+@FUZZ
+@given(data=st.data())
+def test_cli_report_on_a_mutated_fragment_exits_cleanly(tmp_path, capsys, data):
+    name = data.draw(st.sampled_from(sorted(REPORT_FRAGMENTS)))
+    doc = REPORT_FRAGMENTS[name]
+    _write_run(tmp_path, name, data.draw(st.one_of(byte_edits(_json_bytes(doc)), value_edit(doc).map(_json_bytes))))
+    code = main(["report", "--run", str(tmp_path)])  # an undocumented exception escapes as a test error
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2) and "Traceback" not in err

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from segadapt import AdamWState, Init, ParameterRegistry, adamw_step, backward
+from segadapt.checkpoint import restore
+from segadapt.config import default_config
+from segadapt.engine import attach_method
 from segadapt.errors import ContractError
+from segadapt.model import SegmentationModel
+from segadapt.params import BUCKET_ELEMENTS
 
 
 def make_registry(order):
@@ -154,3 +159,105 @@ class TestAdamW:
             backward(loss)
             adamw_step(reg, state)
         assert float(np.abs(reg.get("w").data).max()) < 1e-2
+
+
+def model_registry(method):
+    cfg = default_config()
+    model = SegmentationModel(cfg.model)
+    attach_method(model, method, cfg.adapter, cfg.lora)
+    return model.registry
+
+
+def reference_step(weights, grads, m, v, step, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-parameter AdamW update, one fresh array per operation."""
+    bc1 = 1.0 - beta1 ** step
+    bc2 = 1.0 - beta2 ** step
+    for name, g in grads.items():
+        w = weights[name]
+        m[name] = beta1 * m.get(name, np.zeros_like(w)) + (1.0 - beta1) * g
+        v[name] = beta2 * v.get(name, np.zeros_like(w)) + (1.0 - beta2) * (g * g)
+        if weight_decay:
+            w = w - lr * weight_decay * w
+        weights[name] = w - lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFlatAdamW:
+    """The in-place update over flat buffers against ``reference_step``."""
+
+    def _grads(self, reg, rng):
+        grads = {}
+        for p in reg.trainable_parameters():
+            g = np.array(rng.standard_normal(p.tensor.shape) * rng.choice([1e-6, 1.0, 1e3]), dtype=np.float32)
+            g.reshape(-1)[:: 7] = 0.0  # exact zeros: no moment, sqrt(0) in the denominator
+            grads[p.name] = g
+        return grads
+
+    @pytest.mark.parametrize("method", ["sam_da_dec", "full_ft"])
+    @pytest.mark.parametrize("lr, weight_decay", [(1e-2, 0.0), (1e-2, 0.05), (0.0, 0.05)])
+    def test_bit_identical_to_the_per_parameter_update(self, method, lr, weight_decay):
+        reg = model_registry(method)
+        trained = [p.name for p in reg.trainable_parameters()]
+        weights = {n: reg.get(n).data.copy() for n in trained}
+        frozen = {n: reg.get(n).data.copy() for n in reg.names() if n not in weights}
+        initial = {n: w.copy() for n, w in weights.items()}
+        state = AdamWState(lr=lr, weight_decay=weight_decay)
+        m, v = {}, {}
+        rng = np.random.default_rng(5)
+        for step in range(1, 6):
+            grads = self._grads(reg, rng)
+            for name, g in grads.items():
+                reg.get(name).grad = g
+            adamw_step(reg, state)
+            reference_step(weights, grads, m, v, step, lr, weight_decay)
+            assert all(same_bits(reg.get(n).data, weights[n]) for n in trained)
+            assert all(same_bits(state.m[n], m[n]) and same_bits(state.v[n], v[n]) for n in trained)
+        assert all(same_bits(reg.get(n).data, frozen[n]) for n in frozen)
+        if lr == 0.0:
+            assert all(same_bits(reg.get(n).data, initial[n]) for n in trained)
+
+    @pytest.mark.parametrize("rebind", ["restore", "assign"])
+    def test_values_rebound_between_steps_are_never_lost(self, rebind):
+        reg = model_registry("sam_da_dec")
+        trained = [p.name for p in reg.trainable_parameters()]
+        weights = {n: reg.get(n).data.copy() for n in trained}
+        state = AdamWState(lr=1e-2, weight_decay=0.01)
+        m, v = {}, {}
+        rng = np.random.default_rng(7)
+        for step in range(1, 6):
+            if step == 3:  # new values for every other trained parameter
+                values = {n: rng.standard_normal(weights[n].shape).astype(np.float32) for n in trained[::2]}
+                if rebind == "restore":
+                    restore(reg, values, strict=False)
+                else:
+                    for name, value in values.items():
+                        reg.get(name).data = value
+                weights.update((n, value.copy()) for n, value in values.items())
+            grads = self._grads(reg, rng)
+            for name, g in grads.items():
+                reg.get(name).grad = g
+            adamw_step(reg, state)
+            reference_step(weights, grads, m, v, step, 1e-2, 0.01)
+            assert all(same_bits(reg.get(n).data, weights[n]) for n in trained)
+
+    def test_scratch_is_one_bucket_not_the_registry(self):
+        reg = model_registry("full_ft")
+        rng = np.random.default_rng(0)
+        for name, g in self._grads(reg, rng).items():
+            reg.get(name).grad = g
+        state = AdamWState(lr=1e-3)
+        adamw_step(reg, state)
+        largest = max(p.tensor.data.size for p in reg.trainable_parameters())
+        longest = max(max(bucket.w.size, bucket.m.size, bucket.v.size) for bucket in state.buckets)
+        assert state.scratch.shape[1] == longest <= max(BUCKET_ELEMENTS, largest)
+        assert 10 * longest < reg.param_count(trainable_only=True)
+
+    def test_gradient_of_another_shape_names_parameter(self):
+        reg = make_registry(["alpha.weight", "beta.bias"])
+        reg.get("alpha.weight").grad = np.zeros((4, 3))
+        reg.get("beta.bias").grad = np.zeros((1, 3))
+        with pytest.raises(ContractError, match="'beta.bias'"):
+            adamw_step(reg, AdamWState(lr=0.1))
