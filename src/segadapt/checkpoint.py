@@ -26,6 +26,11 @@ MAGIC = b"SDCK"
 VERSION = 1
 
 
+def float32_bytes(data: np.ndarray) -> bytes:
+    """The bytes a checkpoint stores for one parameter's values."""
+    return np.ascontiguousarray(data, dtype="<f4").tobytes()
+
+
 def dump_bytes(registry: ParameterRegistry, prefix: str | None = None) -> bytes:
     names = [n for n in registry.names() if prefix is None or n.startswith(prefix)]
     parts = [MAGIC, struct.pack("<HI", VERSION, len(names))]
@@ -39,7 +44,7 @@ def dump_bytes(registry: ParameterRegistry, prefix: str | None = None) -> bytes:
         parts.append(encoded)
         parts.append(struct.pack("<B", len(shape)))
         parts.append(struct.pack(f"<{len(shape)}I", *shape))
-        parts.append(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+        parts.append(float32_bytes(tensor.data))
     return b"".join(parts)
 
 
@@ -59,7 +64,7 @@ def first_difference(registry: ParameterRegistry, reference: dict[str, np.ndarra
         data, expected = registry.get(name).data, reference[name]
         if data.shape != expected.shape:
             return f"the shape of {name!r}"
-        if np.ascontiguousarray(data, dtype="<f4").tobytes() != expected.tobytes():
+        if float32_bytes(data) != expected.tobytes():
             return f"the values of {name!r}"
     return None
 

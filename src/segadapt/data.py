@@ -228,9 +228,19 @@ def generate_sample(dom: DomainConfig, volume_seed: int, slice_index: int) -> Sa
         raise ValidationError(
             f"slice_index {slice_index} outside [0, {SLICES_PER_VOLUME})"
         )
-    geo = _volume_geometry(dom, volume_seed)
-    size = dom.image_size
+    return _render_slice(dom, _volume_geometry(dom, volume_seed), volume_seed, slice_index)
 
+
+def generate_volume(dom: DomainConfig, volume_seed: int) -> list[Sample]:
+    """All slices of one volume, equal to ``generate_sample`` slice by slice."""
+    dom.validate()
+    geo = _volume_geometry(dom, volume_seed)
+    return [_render_slice(dom, geo, volume_seed, s) for s in range(SLICES_PER_VOLUME)]
+
+
+def _render_slice(dom: DomainConfig, geo: _VolumeGeometry, volume_seed: int, slice_index: int) -> Sample:
+    """One slice of the volume whose blob layout is ``geo``."""
+    size = dom.image_size
     vol_rng = np.random.default_rng(np.random.SeedSequence([_VOLUME_TAG, dom.seed, volume_seed]))
     background = vol_rng.uniform(*dom.bg_intensity)
     blob_levels = vol_rng.uniform(*dom.fg_intensity, size=geo.centers.shape[0])
@@ -270,10 +280,6 @@ def generate_sample(dom: DomainConfig, volume_seed: int, slice_index: int) -> Sa
         image = image + noise_sigma * slice_rng.standard_normal((size, size))
     image = np.clip(image, 0.0, 1.0).astype(np.float32)
     return Sample(image=image, mask=mask, volume_id=volume_seed, slice_index=slice_index, domain=dom.name)
-
-
-def generate_volume(dom: DomainConfig, volume_seed: int) -> list[Sample]:
-    return [generate_sample(dom, volume_seed, s) for s in range(SLICES_PER_VOLUME)]
 
 
 # -- SDIM sample files ---------------------------------------------------------

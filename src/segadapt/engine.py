@@ -32,7 +32,7 @@ from .adapter import (
     attach_encoder_adapter,
     attach_lora,
 )
-from .checkpoint import dump_bytes, first_difference, load_bytes, restore
+from .checkpoint import dump_bytes, first_difference, float32_bytes, load_bytes, restore
 from .config import RunConfig, config_to_dict, overlay
 from .data import Sample, load_manifest, load_split, read_json_object
 from .errors import ContractError, IntegrityError, ValidationError
@@ -157,41 +157,37 @@ def _frozen_inputs(model: SegmentationModel) -> Inputs:
     """``inputs(sample, prompts)``: the (image embedding, decoder prefix) pair
     a forward of that sample and prompt set may reuse within one stage call.
 
-    While ``model.encoder_frozen()`` holds, the embedding of each loaded
-    Sample object is computed once and reused (SAM's split: the heavy image
-    encoder once per image, the prompt encoder and decoder once per prompt).
-    While ``model.decoder_prefix_frozen()`` also holds, so is the decoder's
-    state after layer 0 for each (Sample object, PromptSet).  The caller must
-    not change weights those rules cover while it uses the helper.  Parts
-    whose rule does not hold come back None and are computed by the forward.
+    While ``model.encoder_frozen()`` holds, the embedding of each (loaded
+    Sample object, PromptSet) is computed once and reused (SAM's split: the
+    heavy image encoder once per image, the prompt encoder and decoder once
+    per prompt); while ``model.decoder_prefix_frozen()`` also holds, so is the
+    decoder's state after layer 0.  The caller must not change weights those
+    rules cover while it uses the helper.  Parts whose rule does not hold
+    come back None and are computed by the forward.
     """
     if not model.encoder_frozen():
         return lambda s, p: (None, None)
     keep_prefix = model.decoder_prefix_frozen()
-    # Keyed on object identity; each embedding entry keeps its sample alive
-    # so the id cannot be reused by another object.
-    embeddings: dict[int, tuple[Sample, ImageEmbedding]] = {}
-    prefixes: dict[tuple[int, PromptSet], DecoderState] = {}
+    # Keyed on object identity; each entry keeps its sample alive so the id
+    # cannot be reused by another object.  A stage call gives each sample one
+    # seeded prompt set, so each image is still encoded once.
+    memo: dict[tuple[int, PromptSet], tuple[Sample, ImageEmbedding, DecoderState | None]] = {}
 
     def inputs(s: Sample, prompts: PromptSet):
-        hit = embeddings.get(id(s))
+        hit = memo.get((id(s), prompts))
         if hit is None:
             embedding = model.encode_image(s.image)
             _off_tape(embedding.grid, "embedding", s)
-            hit = embeddings[id(s)] = (s, embedding)
-        embedding = hit[1]
-        if not keep_prefix:
-            return embedding, None
-        prefix = prefixes.get((id(s), prompts))
-        if prefix is None:
-            # Recorded with the caller's tape setting: while the rule holds no
-            # input needs a gradient, so the tape records nothing; a rule that
-            # holds wrongly leaves the prefix on the tape and is refused.
-            prefix = model.decoder_prefix(embedding, model.encode_prompts(prompts))
-            _off_tape(prefix.tokens, "decoder prefix", s)
-            _off_tape(prefix.dense, "decoder prefix", s)
-            prefixes[id(s), prompts] = prefix
-        return embedding, prefix
+            prefix = None
+            if keep_prefix:
+                # Recorded with the caller's tape setting: while the rule holds
+                # no input needs a gradient, so the tape records nothing; a rule
+                # that holds wrongly leaves the prefix on the tape and is refused.
+                prefix = model.decoder_prefix(embedding, model.encode_prompts(prompts))
+                _off_tape(prefix.tokens, "decoder prefix", s)
+                _off_tape(prefix.dense, "decoder prefix", s)
+            hit = memo[id(s), prompts] = (s, embedding, prefix)
+        return hit[1], hit[2]
 
     return inputs
 
@@ -318,8 +314,10 @@ def train_supervised(cfg: RunConfig, data_root: str | Path, out_dir: str | Path)
     )
     trainable, total = model.registry.param_count(trainable_only=True), model.registry.param_count()
 
+    # Compared as checkpoint bytes: a NaN that never moves passes, a 0.0 that
+    # turns into -0.0 does not.
     frozen_before = {
-        name: model.registry.get(name).data.copy()
+        name: float32_bytes(model.registry.get(name).data)
         for name in model.registry.names()
         if not model.registry.param(name).trainable
     }
@@ -364,7 +362,7 @@ def train_supervised(cfg: RunConfig, data_root: str | Path, out_dir: str | Path)
             best_bytes = dump_bytes(model.registry)
 
     for name, before in frozen_before.items():
-        if not np.array_equal(model.registry.get(name).data, before):
+        if float32_bytes(model.registry.get(name).data) != before:
             raise ContractError(f"frozen parameter {name!r} changed during training")
 
     out_dir.mkdir(parents=True, exist_ok=True)

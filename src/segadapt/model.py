@@ -114,8 +114,6 @@ class PromptSet:
 @dataclass
 class ImageEmbedding:
     grid: Tensor  # [num_patches, dec_dim]
-    height: int
-    width: int
 
 
 @dataclass
@@ -292,7 +290,7 @@ class SegmentationModel:
         grid = add_bias(
             x @ self.registry.get("encoder.neck.weight"), self.registry.get("encoder.neck.bias")
         )
-        return ImageEmbedding(grid=grid, height=cfg.grid_size, width=cfg.grid_size)
+        return ImageEmbedding(grid=grid)
 
     # -- prompts ---------------------------------------------------------------------
 
@@ -344,17 +342,10 @@ class SegmentationModel:
         )
         return self.twoway_layer(DecoderState(tokens=tokens, dense=embedding.grid), 0)
 
-    def decode(
-        self,
-        embedding: ImageEmbedding,
-        prompt_tokens: Tensor | None = None,
-        prefix: DecoderState | None = None,
-    ) -> ForwardResult:
-        """Decode the prompt tokens, or continue from ``prefix``, the state
-        ``decoder_prefix`` returned for them."""
+    def decode(self, state: DecoderState) -> ForwardResult:
+        """Continue from ``state``, the one ``decoder_prefix`` returned."""
         cfg = self.cfg
         reg = self.registry
-        state = prefix if prefix is not None else self.decoder_prefix(embedding, prompt_tokens)
         for layer in range(cfg.dec_depth):
             if layer:
                 state = self.twoway_layer(state, layer)
@@ -362,7 +353,7 @@ class SegmentationModel:
                 state = DecoderState(state.tokens, self.dense_hook(state.dense, layer))
 
         feat = state.dense
-        h, w = embedding.height, embedding.width
+        h = w = cfg.grid_size
         for s in range(cfg.upsample_stages):
             c = feat.shape[1]
             feat = add_bias(feat @ reg.get(f"decoder.upsample{s}.weight"), reg.get(f"decoder.upsample{s}.bias"))
@@ -419,13 +410,13 @@ class SegmentationModel:
         embedding: ImageEmbedding | None = None,
         prefix: DecoderState | None = None,
     ) -> ForwardResult:
-        """Encode the image (unless its ``embedding`` is given) and decode the
-        prompts (from ``prefix``, their state after decoder layer 0, if given)."""
-        if embedding is None:
-            embedding = self.encode_image(image)
-        if prefix is not None:
-            return self.decode(embedding, prefix=prefix)
-        return self.decode(embedding, self.encode_prompts(prompts))
+        """Decode the prompts from ``prefix``, their state after decoder layer
+        0, if given; else from the image's ``embedding``, encoded if not given."""
+        if prefix is None:
+            if embedding is None:
+                embedding = self.encode_image(image)
+            prefix = self.decoder_prefix(embedding, self.encode_prompts(prompts))
+        return self.decode(prefix)
 
     def predict(
         self,

@@ -44,10 +44,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     """A numpy array plus optional gradient bookkeeping."""
 
@@ -84,9 +80,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single element, shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
 
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""

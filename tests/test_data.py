@@ -10,6 +10,7 @@ from segadapt.data import (
     DomainConfig,
     Sample,
     SplitSizes,
+    default_pretrain_domain,
     default_source_domain,
     default_target_domain,
     generate_dataset,
@@ -97,6 +98,34 @@ class TestVolumeCoherence:
                 distant.append(compute_iou(masks[i], masks[i + 5]))
         assert min(adjacent) >= 0.5
         assert np.mean(distant) < np.mean(adjacent)
+
+
+class TestVolumeGeneration:
+    """``generate_volume`` lays a volume out once and renders its slices
+    exactly as ``generate_sample`` renders each one."""
+
+    @pytest.mark.parametrize(
+        "domain", [default_source_domain, default_target_domain, default_pretrain_domain]
+    )
+    def test_volume_equals_its_slices(self, domain):
+        for volume_seed in (0, 17):
+            volume = generate_volume(domain(), volume_seed)
+            slices = [generate_sample(domain(), volume_seed, i) for i in range(SLICES_PER_VOLUME)]
+            assert [sample_to_bytes(s) for s in volume] == [sample_to_bytes(s) for s in slices]
+
+    def test_geometry_is_computed_once_per_volume(self, monkeypatch):
+        import segadapt.data as data
+
+        calls = []
+        real = data._volume_geometry
+
+        def counting(dom, volume_seed):
+            calls.append(volume_seed)
+            return real(dom, volume_seed)
+
+        monkeypatch.setattr(data, "_volume_geometry", counting)
+        generate_volume(default_source_domain(), 4)
+        assert calls == [4]
 
 
 class TestPairedDomains:

@@ -228,6 +228,51 @@ class TestTrainSupervised:
             train_supervised(cfg, workspace["data"], tmp_path / "run")
 
 
+def _edited_base(workspace, path, name, index, value):
+    """The base checkpoint with one value of parameter ``name`` replaced."""
+    model, _ = load_model(workspace["base"]["checkpoint"])
+    model.registry.get(name).data[index] = value
+    path.write_bytes(dump_bytes(model.registry))
+    return str(path)
+
+
+def _decoder_adapter_cfg(workspace, init_from):
+    cfg = workspace["cfg"]
+    return replace(
+        cfg,
+        train=replace(cfg.train, method="sam_da_dec", epochs=1, seed=0, max_train_samples=10,
+                      init_from=init_from),
+    )
+
+
+class TestFrozenAudit:
+    """The training audit compares each frozen parameter's checkpoint bytes."""
+
+    def test_a_nan_that_training_never_reads_passes(self, workspace, tmp_path):
+        # Row 0 of the label embedding is the negative-click label; one
+        # positive click never reads it.
+        base = _edited_base(workspace, tmp_path / "nan.sdck", "prompt.label_embed", (0, 0), np.nan)
+        fragment = train_supervised(_decoder_adapter_cfg(workspace, base), workspace["data"], tmp_path / "run")
+        model, _ = load_model(fragment["checkpoint"])
+        assert np.isnan(model.registry.get("prompt.label_embed").data[0, 0])
+
+    def test_a_zero_that_turns_negative_is_caught(self, workspace, tmp_path, monkeypatch):
+        import segadapt.engine as engine
+
+        name = "encoder.pos_embed"
+        base = _edited_base(workspace, tmp_path / "zero.sdck", name, (0, 0), 0.0)
+        real_step = engine.adamw_step
+
+        def flipping_step(registry, opt):
+            real_step(registry, opt)
+            assert not registry.param(name).trainable
+            registry.get(name).data[0, 0] = -0.0
+
+        monkeypatch.setattr(engine, "adamw_step", flipping_step)
+        with pytest.raises(ContractError, match=f"frozen parameter '{name}' changed during training"):
+            train_supervised(_decoder_adapter_cfg(workspace, base), workspace["data"], tmp_path / "run")
+
+
 class TestLoadModel:
     def test_round_trip_predictions(self, workspace, samples, tmp_path):
         cfg = replace(

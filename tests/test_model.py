@@ -1,9 +1,13 @@
 """Segmentation model: shapes, determinism, prompt handling, decoder trace."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from segadapt import Tensor, no_grad
+from segadapt.adapter import AdapterConfig, attach_decoder_adapter
 from segadapt.errors import DimensionError, ValidationError
 from segadapt.gradcheck import finite_diff_check
 from segadapt.losses import LossConfig, supervised_loss
@@ -229,6 +233,39 @@ class TestDecoder:
         np.testing.assert_array_equal(model.predict(image, PROMPTS).logits, base.logits)
         model.lora_deltas["encoder.block0.attn.query"] = (down, up, 2.0)
         assert not np.array_equal(model.predict(image, PROMPTS).logits, base.logits)
+
+
+class TestForwardPath:
+    """``forward`` is the one place that builds the state ``decode`` starts
+    from; handing it the embedding or the prefix changes nothing."""
+
+    def test_given_embedding_or_prefix_is_bit_identical(self):
+        model = tiny_model()
+        attach_decoder_adapter(model, AdapterConfig(num_prompts=2, prompt_dim=8, key_dim=8, value_dim=8), seed=1)
+        for name in model.registry.names():
+            if name.endswith(".gate"):  # open the zero-init gates so the adapter acts
+                model.registry.get(name).data[...] = 0.5
+        image = sample_image(3)
+        embedding = model.encode_image(image)
+        prefix = model.decoder_prefix(embedding, model.encode_prompts(PROMPTS))
+        runs = [
+            model.forward(image, PROMPTS),
+            model.forward(image, PROMPTS, embedding=embedding),
+            model.forward(image, PROMPTS, embedding=embedding, prefix=prefix),
+        ]
+        for out in runs[1:]:
+            for field in ("logits", "iou_pred", "dense"):
+                got, want = getattr(out, field).data, getattr(runs[0], field).data
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+        unadapted = tiny_model().forward(image, PROMPTS)
+        assert not np.array_equal(runs[0].logits.data, unadapted.logits.data)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second of import time on every run.
+    code = "import sys, segadapt; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 GRADCHECK_CFG = ModelConfig(
