@@ -219,18 +219,12 @@ def attach_lora(model: SegmentationModel, cfg: LoraConfig, seed: int = 0) -> lis
             proj = f"encoder.block{i}.attn.{target}"
             if proj in model.lora_deltas:
                 raise ContractError(f"projection {proj!r} already has a LoRA delta")
-            reg.add(f"{scope}.down", (dim, cfg.rank), Init.lecun())
-            reg.add(f"{scope}.up", (cfg.rank, dim), Init.zeros())
+            # initialize() below rebinds the values of these same tensors.
+            down = reg.add(f"{scope}.down", (dim, cfg.rank), Init.lecun()).tensor
+            up = reg.add(f"{scope}.up", (cfg.rank, dim), Init.zeros()).tensor
+            model.lora_deltas[proj] = (down, up, cfg.scaling)
             attached.append(proj)
     reg.initialize(seed, only=[n for n in reg.names() if n.startswith("lora.")])
-    for i in range(model.cfg.enc_depth):
-        for target in cfg.targets:
-            scope = f"lora.block{i}.{target}"
-            model.lora_deltas[f"encoder.block{i}.attn.{target}"] = (
-                reg.get(f"{scope}.down"),
-                reg.get(f"{scope}.up"),
-                cfg.scaling,
-            )
     apply_freeze_policy(model, "lora")
     return attached
 

@@ -8,8 +8,7 @@ Layout, all little-endian:
 
 Parameters are written in sorted-name order and values are stored as float32
 regardless of the in-memory precision, so a save/load/save cycle is
-byte-exact.  A ``prefix`` filter supports partial checkpoints (for example
-adapter-only files under the "adapter." prefix).
+byte-exact.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ def float32_bytes(data: np.ndarray) -> bytes:
     return np.ascontiguousarray(data, dtype="<f4").tobytes()
 
 
-def dump_bytes(registry: ParameterRegistry, prefix: str | None = None) -> bytes:
-    names = [n for n in registry.names() if prefix is None or n.startswith(prefix)]
+def dump_bytes(registry: ParameterRegistry) -> bytes:
+    names = registry.names()
     parts = [MAGIC, struct.pack("<HI", VERSION, len(names))]
     for name in names:
         tensor = registry.get(name)
@@ -69,9 +68,9 @@ def first_difference(registry: ParameterRegistry, reference: dict[str, np.ndarra
     return None
 
 
-def save(path, registry: ParameterRegistry, prefix: str | None = None) -> None:
+def save(path, registry: ParameterRegistry) -> None:
     with open(path, "wb") as fh:
-        fh.write(dump_bytes(registry, prefix=prefix))
+        fh.write(dump_bytes(registry))
 
 
 class _Reader:
@@ -127,17 +126,12 @@ def load(path) -> dict[str, np.ndarray]:
         return load_bytes(fh.read())
 
 
-def restore(
-    registry: ParameterRegistry,
-    source,
-    prefix: str | None = None,
-    strict: bool = True,
-) -> None:
+def restore(registry: ParameterRegistry, source, strict: bool = True) -> None:
     """Copy checkpoint values into a registry (casting to its dtype).
 
     ``source`` is a path, raw bytes, or a dict from ``load``.  With
-    ``strict`` every registry parameter under ``prefix`` must be present and
-    no stored name may be unknown.
+    ``strict`` every registry parameter must be present and no stored name
+    may be unknown.
     """
     if isinstance(source, (bytes, bytearray)):
         values = load_bytes(bytes(source))
@@ -145,15 +139,15 @@ def restore(
         values = source
     else:
         values = load(source)
-    wanted = [n for n in registry.names() if prefix is None or n.startswith(prefix)]
+    names = registry.names()
     if strict:
-        missing = [n for n in wanted if n not in values]
+        missing = [n for n in names if n not in values]
         unknown = [n for n in values if n not in registry]
         if missing or unknown:
             raise ContractError(
                 f"checkpoint/registry mismatch: missing {missing[:4]}, unknown {unknown[:4]}"
             )
-    for name in wanted:
+    for name in names:
         if name not in values:
             continue
         tensor = registry.get(name)

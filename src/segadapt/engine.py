@@ -45,7 +45,7 @@ from .losses import (
     supervised_loss,
     weighted_sum,
 )
-from .model import DecoderState, ImageEmbedding, ModelConfig, PromptSet, SegmentationModel
+from .model import DecoderState, ModelConfig, PromptSet, SegmentationModel
 from .params import AdamWState, adamw_step
 from .stats import paired_t_test
 from .tensor import Tensor, backward, no_grad
@@ -130,7 +130,7 @@ def evaluate_with_predictor(
     return EvalResult.from_scores(scores)
 
 
-Inputs = Callable[[Sample, PromptSet], tuple[ImageEmbedding | None, DecoderState | None]]
+Inputs = Callable[[Sample, PromptSet], tuple[Tensor | None, DecoderState | None]]
 
 
 def evaluate_model(
@@ -171,13 +171,13 @@ def _frozen_inputs(model: SegmentationModel) -> Inputs:
     # Keyed on object identity; each entry keeps its sample alive so the id
     # cannot be reused by another object.  A stage call gives each sample one
     # seeded prompt set, so each image is still encoded once.
-    memo: dict[tuple[int, PromptSet], tuple[Sample, ImageEmbedding, DecoderState | None]] = {}
+    memo: dict[tuple[int, PromptSet], tuple[Sample, Tensor, DecoderState | None]] = {}
 
     def inputs(s: Sample, prompts: PromptSet):
         hit = memo.get((id(s), prompts))
         if hit is None:
             embedding = model.encode_image(s.image)
-            _off_tape(embedding.grid, "embedding", s)
+            _off_tape(embedding, "embedding", s)
             prefix = None
             if keep_prefix:
                 # Recorded with the caller's tape setting: while the rule holds
@@ -424,30 +424,36 @@ def evaluate_checkpoint(
 # -- test-time adaptation ---------------------------------------------------------------
 
 
-def _group_by_volume(samples: Sequence[Sample]) -> dict[int, dict[int, Sample]]:
-    volumes: dict[int, dict[int, Sample]] = {}
-    for s in samples:
-        volumes.setdefault(s.volume_id, {})[s.slice_index] = s
-    return volumes
+def _unadapted(
+    model: SegmentationModel, inputs: Inputs, s: Sample, seed: int
+) -> tuple[PromptSet, Tensor, np.ndarray]:
+    """A slice's prompts, logits and pooled dense embedding under the weights
+    the model holds; ``run_ttda`` calls it only while those are the reference."""
+    prompts = interior_prompt(s.mask, prompt_rng(seed, s.volume_id, s.slice_index))
+    reused = inputs(s, prompts)  # with the tape on, so the memo's tape check applies
+    with no_grad():
+        out = model.forward(s.image, prompts, *reused)
+    return prompts, out.logits, out.dense.data.mean(axis=0)
 
 
 def _ttda_sample(
     model: SegmentationModel,
     s: Sample,
-    volume: dict[int, Sample],
     cfg: RunConfig,
-    adapt: bool,
     inputs: Inputs,
-    unadapted: Callable[[Sample], tuple[PromptSet, Tensor, np.ndarray]],
+    unadapted: dict[tuple[int, int], tuple[PromptSet, Tensor, np.ndarray]],
 ) -> dict:
     """Adapt the model to one sample and return the sample's record.
 
-    Leaves the adapted weights in place; the caller restores them.  A sample
-    whose weighted loss has no terms stays unadapted.
+    ``unadapted`` maps (volume id, slice index) to ``_unadapted`` of that
+    slice: the sample's own start, its positive and its negatives.  Leaves
+    the adapted weights in place; the caller restores them.  A sample whose
+    weighted loss has no terms stays unadapted.
     """
     settings = cfg.ttda
     q = cfg.loss.confidence_fraction
-    prompts, first_logits, _ = unadapted(s)
+    v, i = s.volume_id, s.slice_index
+    prompts, first_logits, _ = unadapted[v, i]
     with no_grad():
         entropy_before = confident_entropy_loss(first_logits, q).item()
     snapshot = first_logits.data
@@ -455,79 +461,59 @@ def _ttda_sample(
 
     entropy_after = entropy_before
     iou_after = iou_before
-    if adapt:
-        pos_idx = next(
-            (
-                s.slice_index + d
-                for d in (settings.positive_offset, -settings.positive_offset)
-                if s.slice_index + d in volume
-            ),
-            None,
-        )
-        neg_idxs = [
-            i for i in sorted(volume) if abs(i - s.slice_index) >= settings.negative_min_offset
-        ]
-        positive = unadapted(volume[pos_idx])[2] if pos_idx is not None else None
-        negatives = [unadapted(volume[i])[2] for i in neg_idxs]
+    positive = next(
+        (
+            unadapted[v, i + d][2]
+            for d in (settings.positive_offset, -settings.positive_offset)
+            if (v, i + d) in unadapted
+        ),
+        None,
+    )
+    # Ascending slice order: the contrastive loss sums its negatives in it.
+    negatives = [
+        unadapted[key][2]
+        for key in sorted(unadapted)
+        if key[0] == v and abs(key[1] - i) >= settings.negative_min_offset
+    ]
 
-        opt = AdamWState(lr=settings.lr, weight_decay=0.0)
-        for _ in range(settings.iterations):
-            out = model.forward(s.image, prompts, *inputs(s, prompts))
-            entropy = confident_entropy_loss(out.logits, q)
-            proximity = proximity_loss(
-                out.logits, snapshot, gamma=cfg.loss.focal_gamma, smooth=cfg.loss.dice_smooth
+    opt = AdamWState(lr=settings.lr, weight_decay=0.0)
+    for _ in range(settings.iterations):
+        out = model.forward(s.image, prompts, *inputs(s, prompts))
+        entropy = confident_entropy_loss(out.logits, q)
+        proximity = proximity_loss(
+            out.logits, snapshot, gamma=cfg.loss.focal_gamma, smooth=cfg.loss.dice_smooth
+        )
+        terms = [(settings.lambda_entropy, entropy), (settings.lambda_proximity, proximity)]
+        if positive is not None and negatives:
+            contrastive = slice_contrastive_loss(
+                out.dense.mean(axis=0), positive, negatives, temperature=cfg.loss.temperature
             )
-            terms = [(settings.lambda_entropy, entropy), (settings.lambda_proximity, proximity)]
-            if positive is not None and negatives:
-                contrastive = slice_contrastive_loss(
-                    out.dense.mean(axis=0), positive, negatives, temperature=cfg.loss.temperature
-                )
-                terms.append((settings.lambda_contrastive, contrastive))
-            loss = weighted_sum(terms)
-            if loss is None:
-                break  # no weighted term applies to this sample: it stays unadapted
-            if not math.isfinite(loss.item()):
-                raise ValidationError(
-                    f"non-finite TTDA loss {loss.item()} on sample (volume {s.volume_id}, "
-                    f"slice {s.slice_index}) at lr {settings.lr}"
-                )
-            backward(loss)
-            model.registry.fill_missing_grads()
-            adamw_step(model.registry, opt)
-        else:
-            with no_grad():
-                final = model.forward(s.image, prompts, *inputs(s, prompts))
-                entropy_after = confident_entropy_loss(final.logits, q).item()
-            iou_after = compute_iou(mask_from_logits(final.logits.data), s.mask)
+            terms.append((settings.lambda_contrastive, contrastive))
+        loss = weighted_sum(terms)
+        if loss is None:
+            break  # no weighted term applies to this sample: it stays unadapted
+        if not math.isfinite(loss.item()):
+            raise ValidationError(
+                f"non-finite TTDA loss {loss.item()} on sample (volume {v}, slice {i}) "
+                f"at lr {settings.lr}"
+            )
+        backward(loss)
+        model.registry.fill_missing_grads()
+        adamw_step(model.registry, opt)
+    else:
+        with no_grad():
+            final = model.forward(s.image, prompts, *inputs(s, prompts))
+            entropy_after = confident_entropy_loss(final.logits, q).item()
+        iou_after = compute_iou(mask_from_logits(final.logits.data), s.mask)
 
     return {
-        "volume_id": s.volume_id,
-        "slice_index": s.slice_index,
+        "volume_id": v,
+        "slice_index": i,
         "iou_before": iou_before,
         "iou_after": iou_after,
         "entropy_before": entropy_before,
         "entropy_after": entropy_after,
     }
-
-
-def _unadapted(model: SegmentationModel, inputs: Inputs, seed: int):
-    """``unadapted(sample) -> (prompts, logits, pooled dense embedding)`` of a
-    slice under the reference weights, computed once per slice: as the
-    sample's own starting point and as another sample's positive or negative.
-    Only called while the weights equal the reference."""
-    memo: dict[tuple[int, int], tuple[PromptSet, Tensor, np.ndarray]] = {}
-
-    def unadapted(s: Sample) -> tuple[PromptSet, Tensor, np.ndarray]:
-        key = (s.volume_id, s.slice_index)
-        if key not in memo:
-            prompts = interior_prompt(s.mask, prompt_rng(seed, *key))
-            reused = inputs(s, prompts)  # with the tape on, so the memo's tape check applies
-            with no_grad():
-                out = model.forward(s.image, prompts, *reused)
-            memo[key] = (prompts, out.logits, out.dense.data.mean(axis=0))
-        return memo[key]
-
-    return unadapted
 
 
 def _volume_runs(samples: Sequence[Sample]) -> list[list[Sample]]:
@@ -555,7 +541,6 @@ def run_ttda(
     data_root = Path(data_root)
     manifest = load_manifest(data_root)
     samples = load_split(data_root, manifest, settings.split)
-    volumes = _group_by_volume(samples)
 
     model, meta = load_model(checkpoint)
     if not any(n.startswith("adapter.") for n in model.registry.names()):
@@ -565,15 +550,15 @@ def run_ttda(
     reference = load_bytes(dump_bytes(model.registry))
     trained = {p.name: reference[p.name] for p in model.registry.trainable_parameters()}
 
-    adapt = any((settings.lambda_entropy, settings.lambda_proximity, settings.lambda_contrastive))
     records = []
     for run in _volume_runs(samples):
         # Memos live for one volume: a sample's positive and negatives are
-        # slices of its own volume.
+        # slices of its own volume.  Every slice's unadapted forward runs
+        # before any sample adapts, so all run under the reference weights.
         inputs = _frozen_inputs(model)
-        unadapted = _unadapted(model, inputs, settings.seed)
+        unadapted = {(s.volume_id, s.slice_index): _unadapted(model, inputs, s, settings.seed) for s in run}
         for s in run:
-            records.append(_ttda_sample(model, s, volumes[s.volume_id], cfg, adapt, inputs, unadapted))
+            records.append(_ttda_sample(model, s, cfg, inputs, unadapted))
             restore(model.registry, trained, strict=False)
             difference = first_difference(model.registry, reference)
             if difference is not None:
@@ -585,6 +570,7 @@ def run_ttda(
     before = [r["iou_before"] for r in records]
     after = [r["iou_after"] for r in records]
     improved = [entropy_improved(r["entropy_before"], r["entropy_after"]) for r in records]
+    adapt = any((settings.lambda_entropy, settings.lambda_proximity, settings.lambda_contrastive))
     fragment = {
         "kind": "ttda",
         "method": meta["method"],
@@ -778,10 +764,11 @@ def aggregate_report(run_dir: str | Path) -> dict:
         entry["params"] = (f["trainable_params"], f["total_params"])
 
     grouped: dict[tuple[str, str, str], list[dict]] = {}
-    for f in evals:
+    for f in sorted(evals, key=lambda f: f["seed"]):
         grouped.setdefault((f["method"], f["domain"], f["split"]), []).append(f)
+    # Per-image scores pooled seed-major, for the paired tests below.
+    by_cell: dict[tuple[str, str], dict[str, list[float]]] = {}
     for (method, domain, split), group in sorted(grouped.items()):
-        group = sorted(group, key=lambda f: f["seed"])
         seed_means = [f["mean"] for f in group]
         cell = {
             "seeds": [f["seed"] for f in group],
@@ -790,16 +777,9 @@ def aggregate_report(run_dir: str | Path) -> dict:
             "std": float(np.std(seed_means, ddof=1 if len(seed_means) > 1 else 0)),
         }
         methods.setdefault(method, {"params": None, "cells": {}})["cells"][f"{domain}_{split}"] = cell
+        by_cell.setdefault((domain, split), {})[method] = [v for f in group for v in f["per_image"]]
 
-    # Paired tests on per-image scores pooled seed-major, methods pairwise.
     tests = []
-    by_cell: dict[tuple[str, str], dict[str, list[float]]] = {}
-    for (method, domain, split), group in grouped.items():
-        group = sorted(group, key=lambda f: f["seed"])
-        pooled: list[float] = []
-        for f in group:
-            pooled.extend(f["per_image"])
-        by_cell.setdefault((domain, split), {})[method] = pooled
     for (domain, split), per_method in sorted(by_cell.items()):
         names = sorted(per_method)
         for i, a in enumerate(names):

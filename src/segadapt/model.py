@@ -112,11 +112,6 @@ class PromptSet:
 
 
 @dataclass
-class ImageEmbedding:
-    grid: Tensor  # [num_patches, dec_dim]
-
-
-@dataclass
 class DecoderState:
     tokens: Tensor  # [2 + num_prompts, dec_dim]: mask token, IoU token, prompts
     dense: Tensor  # [num_patches, dec_dim]
@@ -277,7 +272,8 @@ class SegmentationModel:
         )
         return x + self.registry.get("encoder.pos_embed")
 
-    def encode_image(self, image: np.ndarray) -> ImageEmbedding:
+    def encode_image(self, image: np.ndarray) -> Tensor:
+        """The image's embedding grid, [num_patches, dec_dim]."""
         cfg = self.cfg
         x = self.patch_tokens(image)
         for i in range(cfg.enc_depth):
@@ -287,10 +283,9 @@ class SegmentationModel:
             x = x + self._mlp(f"{p}.mlp", self._norm(f"{p}.norm2", x))
             if self.encoder_hook is not None:
                 x = self.encoder_hook(x, i)
-        grid = add_bias(
+        return add_bias(
             x @ self.registry.get("encoder.neck.weight"), self.registry.get("encoder.neck.bias")
         )
-        return ImageEmbedding(grid=grid)
 
     # -- prompts ---------------------------------------------------------------------
 
@@ -334,13 +329,13 @@ class SegmentationModel:
         )
         return DecoderState(tokens=t, dense=d)
 
-    def decoder_prefix(self, embedding: ImageEmbedding, prompt_tokens: Tensor) -> DecoderState:
+    def decoder_prefix(self, embedding: Tensor, prompt_tokens: Tensor) -> DecoderState:
         """The state after decoder layer 0, before its dense hook."""
         reg = self.registry
         tokens = concat(
             [reg.get("decoder.mask_token"), reg.get("decoder.iou_token"), prompt_tokens], axis=0
         )
-        return self.twoway_layer(DecoderState(tokens=tokens, dense=embedding.grid), 0)
+        return self.twoway_layer(DecoderState(tokens=tokens, dense=embedding), 0)
 
     def decode(self, state: DecoderState) -> ForwardResult:
         """Continue from ``state``, the one ``decoder_prefix`` returned."""
@@ -407,7 +402,7 @@ class SegmentationModel:
         self,
         image: np.ndarray,
         prompts: PromptSet,
-        embedding: ImageEmbedding | None = None,
+        embedding: Tensor | None = None,
         prefix: DecoderState | None = None,
     ) -> ForwardResult:
         """Decode the prompts from ``prefix``, their state after decoder layer
@@ -422,7 +417,7 @@ class SegmentationModel:
         self,
         image: np.ndarray,
         prompts: PromptSet,
-        embedding: ImageEmbedding | None = None,
+        embedding: Tensor | None = None,
         prefix: DecoderState | None = None,
     ) -> MaskPrediction:
         with no_grad():

@@ -47,7 +47,7 @@ def no_grad():
 class Tensor:
     """A numpy array plus optional gradient bookkeeping."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)

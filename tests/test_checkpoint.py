@@ -105,22 +105,6 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError, match=f"duplicate parameter name 'ab' at offset {12 + len(entry)}"):
             ckpt.load_bytes(blob)
 
-    def test_adapter_prefix_subset(self):
-        reg = build_registry()
-        blob = ckpt.dump_bytes(reg, prefix="adapter.")
-        values = ckpt.load_bytes(blob)
-        assert sorted(values) == ["adapter.dec0.gate", "adapter.dec0.prompts"]
-        fresh = build_registry()
-        fresh.initialize(seed=77)
-        ckpt.restore(fresh, blob, prefix="adapter.")
-        np.testing.assert_array_equal(
-            fresh.get("adapter.dec0.prompts").data, reg.get("adapter.dec0.prompts").data
-        )
-        # non-adapter params untouched by the partial restore
-        assert not np.array_equal(
-            fresh.get("encoder.blk.weight").data, reg.get("encoder.blk.weight").data
-        )
-
     def test_strict_restore_name_mismatch(self):
         reg = build_registry()
         other = ParameterRegistry()
@@ -136,7 +120,7 @@ class TestCheckpointFormat:
         other.add("decoder.mix.weight", (2, 2), Init.zeros())
         other.initialize(seed=0)
         with pytest.raises(ContractError):
-            ckpt.restore(other, blob, prefix="decoder.")
+            ckpt.restore(other, blob, strict=False)
 
 
 # -- the per-parameter byte audit -------------------------------------------------------

@@ -515,6 +515,34 @@ class TestTTDA:
         fragment = run_ttda(workspace["base"]["checkpoint"], workspace["data"], cfg)
         assert len(calls) == fragment["count"] * (cfg.ttda.iterations + 2)
 
+    def test_every_slice_is_decoded_unadapted_before_the_first_step(self, workspace, monkeypatch):
+        # The split is one volume: each of its slices is decoded under no_grad,
+        # as the start, positive or negative of a sample, before any sample
+        # takes an AdamW step.
+        import segadapt.engine as engine
+        import segadapt.tensor as tensor
+
+        samples = load_split(workspace["data"], load_manifest(workspace["data"]), "target_test")
+        assert len({s.volume_id for s in samples}) == 1
+        events = []
+        real_decode, real_step = SegmentationModel.decode, engine.adamw_step
+
+        def decode(self, state):
+            events.append("decode" if tensor._grad_enabled else "no_grad decode")
+            return real_decode(self, state)
+
+        def step(*args, **kwargs):
+            events.append("step")
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(SegmentationModel, "decode", decode)
+        monkeypatch.setattr(engine, "adamw_step", step)
+        cfg = replace(workspace["cfg"], ttda=replace(workspace["cfg"].ttda, iterations=1))
+        run_ttda(workspace["base"]["checkpoint"], workspace["data"], cfg)
+        before_step = events[: events.index("step")]
+        assert before_step.count("no_grad decode") == len(samples)
+        assert len(events) - events.count("step") == len(samples) * (cfg.ttda.iterations + 2)
+
     def test_mean_fields_match_records(self, workspace):
         cfg = replace(workspace["cfg"], ttda=replace(workspace["cfg"].ttda, iterations=1))
         fragment = run_ttda(workspace["base"]["checkpoint"], workspace["data"], cfg)
