@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from .errors import ContractError, ValidationError
 from .model import SegmentationModel
 from .params import Init, ParameterRegistry
-from .tensor import Tensor, add_bias, softmax
+from .tensor import Tensor, add_bias, attention
 
 METHODS = ("full_ft", "decoder_ft", "lora", "sam_da_dec", "sam_da_enc")
 
@@ -140,8 +140,7 @@ def adapter_attention(tokens: Tensor, st: AdapterLayerState) -> Tensor:
     k = st.prompts @ st.key_w
     v = add_bias(st.prompts @ st.value_w, st.value_b)
     scale = 1.0 / math.sqrt(v.shape[1])
-    mixed = softmax((q @ k.T) * scale, axis=1) @ v
-    return add_bias(mixed @ st.proj_w, st.proj_b)
+    return add_bias(attention(q, k, v, 1, scale) @ st.proj_w, st.proj_b)
 
 
 def adapter_apply(tokens: Tensor, st: AdapterLayerState) -> Tensor:

@@ -459,8 +459,16 @@ def _ttda_sample(
     snapshot = first_logits.data
     iou_before = compute_iou(mask_from_logits(snapshot), s.mask)
 
-    entropy_after = entropy_before
-    iou_after = iou_before
+    record = {
+        "volume_id": v,
+        "slice_index": i,
+        "iou_before": iou_before,
+        "iou_after": iou_before,
+        "entropy_before": entropy_before,
+        "entropy_after": entropy_before,
+    }
+    if not any((settings.lambda_entropy, settings.lambda_proximity, settings.lambda_contrastive)):
+        return record  # the zero-weight control: nothing can train, so no forward runs
     positive = next(
         (
             unadapted[v, i + d][2]
@@ -503,17 +511,9 @@ def _ttda_sample(
     else:
         with no_grad():
             final = model.forward(s.image, prompts, *inputs(s, prompts))
-            entropy_after = confident_entropy_loss(final.logits, q).item()
-        iou_after = compute_iou(mask_from_logits(final.logits.data), s.mask)
-
-    return {
-        "volume_id": v,
-        "slice_index": i,
-        "iou_before": iou_before,
-        "iou_after": iou_after,
-        "entropy_before": entropy_before,
-        "entropy_after": entropy_after,
-    }
+            record["entropy_after"] = confident_entropy_loss(final.logits, q).item()
+        record["iou_after"] = compute_iou(mask_from_logits(final.logits.data), s.mask)
+    return record
 
 
 def _volume_runs(samples: Sequence[Sample]) -> list[list[Sample]]:

@@ -22,11 +22,11 @@ from .params import Init, ParameterRegistry
 from .tensor import (
     Tensor,
     add_bias,
+    attention,
     concat,
     gather_rows,
     layer_norm,
     no_grad,
-    softmax,
 )
 
 POSITIVE = 1
@@ -221,20 +221,8 @@ class SegmentationModel:
         q = self._proj(f"{prefix}.query", q_in)
         k = self._proj(f"{prefix}.key", k_in)
         v = self._proj(f"{prefix}.value", v_in)
-        dim = q.shape[1]
-        head_dim = dim // heads
-        scale = 1.0 / math.sqrt(head_dim)
-        n_q, n_k = q.shape[0], k.shape[0]
-        if heads == 1:
-            weights = softmax((q @ k.T) * scale, axis=1)
-            mixed = weights @ v
-        else:
-            q3 = q.reshape(n_q, heads, head_dim).permute(1, 0, 2)
-            k3 = k.reshape(n_k, heads, head_dim).permute(1, 2, 0)
-            v3 = v.reshape(n_k, heads, head_dim).permute(1, 0, 2)
-            weights = softmax((q3 @ k3) * scale, axis=2)
-            mixed = (weights @ v3).permute(1, 0, 2).reshape(n_q, dim)
-        return self._proj(f"{prefix}.out", mixed)
+        scale = 1.0 / math.sqrt(q.shape[1] // heads)
+        return self._proj(f"{prefix}.out", attention(q, k, v, heads, scale))
 
     def _norm(self, prefix: str, x: Tensor) -> Tensor:
         return layer_norm(x, self.registry.get(f"{prefix}.gain"), self.registry.get(f"{prefix}.bias"))

@@ -11,7 +11,8 @@ require one, such as a frozen weight or a constant.
 Broadcasting is deliberately restricted: binary elementwise operations accept
 equal shapes or a scalar (0-d) operand, nothing else.  The few structured
 patterns the models need are dedicated primitives (``add_bias``,
-``gather_rows``, batched 3-d ``matmul``) so shape errors stay loud.
+``gather_rows``, batched 3-d ``matmul``, multi-head ``attention``) so shape
+errors stay loud.
 """
 
 from __future__ import annotations
@@ -353,9 +354,13 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     if sorted(axes) != list(range(a.data.ndim)):
         raise DimensionError(f"permute: {axes} is not a permutation of rank {a.data.ndim}")
-    inverse = tuple(np.argsort(axes))
     out = np.ascontiguousarray(a.data.transpose(axes))
-    return _node(out, (a,), lambda g: (g.transpose(inverse),))
+
+    def grad_fn(g):
+        # The inverse permutation, worked out only when a backward pass needs it.
+        return (g.transpose(sorted(range(len(axes)), key=axes.__getitem__)),)
+
+    return _node(out, (a,), grad_fn)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -429,6 +434,14 @@ def add_bias(x: Tensor, bias: Tensor) -> Tensor:
 # -- reductions --------------------------------------------------------------
 
 
+def _mean(x: np.ndarray, axis, keepdims: bool) -> np.ndarray:
+    """``x.mean(axis=axis, keepdims=keepdims)`` as the two ufunc calls that
+    ``ndarray.mean`` makes, without its Python wrapper: the same bytes."""
+    total = np.asarray(np.add.reduce(x, axis=axis, keepdims=keepdims))
+    count = x.size if axis is None else x.shape[axis]
+    return np.true_divide(total, np.intp(count), out=total, casting="unsafe")
+
+
 def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
     if axis is None:
         return np.broadcast_to(np.asarray(g), shape)
@@ -448,12 +461,12 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = a.data.size if axis is None else a.shape[axis]
-    out = a.data.mean(axis=axis, keepdims=keepdims)
+    out = _mean(a.data, axis, keepdims)
 
     def grad_fn(g):
         return (np.ascontiguousarray(_expand_reduced(g, a.shape, axis, keepdims)) / count,)
 
-    return _node(np.asarray(out), (a,), grad_fn)
+    return _node(out, (a,), grad_fn)
 
 
 # -- elementwise nonlinearities ----------------------------------------------
@@ -507,6 +520,16 @@ def gelu(a: Tensor) -> Tensor:
     return _node(out, (a,), grad_fn)
 
 
+def _softmax_forward(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_backward(out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    inner = (g * out).sum(axis=axis, keepdims=True)
+    return out * (g - inner)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     ndim = a.data.ndim
     if not -ndim <= axis < ndim:
@@ -514,15 +537,66 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     axis = axis % ndim
     if a.shape[axis] == 0:
         raise DimensionError(f"softmax: empty axis {axis} in shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = _softmax_forward(a.data, axis)
+    return _node(out, (a,), lambda g: (_softmax_backward(out, g, axis),))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tensor:
+    """Multi-head scaled dot-product attention as one tape node.
+
+    ``q`` is [n_q, d], ``k`` is [n_k, d] and ``v`` is [n_k, d_v], with d and
+    d_v divisible by ``heads``; the result is [n_q, d_v], each head's
+    ``softmax(q_h @ k_h.T * scale) @ v_h`` with the heads side by side.  The
+    forward and backward run the numpy operations of the equivalent
+    reshape / permute / matmul / softmax chain of separate nodes, in the same
+    order and on the same memory layouts, so every value and gradient is
+    bit-identical to that chain.
+    """
+    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
+        raise DimensionError(f"attention: expected matrices, got {q.shape}, {k.shape}, {v.shape}")
+    (n_q, dim), (n_k, dim_v) = q.shape, v.shape
+    if k.shape != (n_k, dim) or heads < 1 or dim % heads or dim_v % heads:
+        raise DimensionError(
+            f"attention: q {q.shape}, k {k.shape}, v {v.shape} do not split into {heads} heads"
+        )
+    if not q.data.dtype == k.data.dtype == v.data.dtype:
+        raise ContractError(
+            f"attention: mixed dtypes {q.data.dtype}, {k.data.dtype} and {v.data.dtype}"
+        )
+    scale = np.asarray(scale, dtype=q.data.dtype)
+    if heads == 1:
+        q3, k3, v3, axis = q.data, np.ascontiguousarray(k.data.T), v.data, 1
+    else:
+        q3 = np.ascontiguousarray(q.data.reshape(n_q, heads, dim // heads).transpose(1, 0, 2))
+        k3 = np.ascontiguousarray(k.data.reshape(n_k, heads, dim // heads).transpose(1, 2, 0))
+        v3 = np.ascontiguousarray(v.data.reshape(n_k, heads, dim_v // heads).transpose(1, 0, 2))
+        axis = 2
+    weights = _softmax_forward((q3 @ k3) * scale, axis)
+    out = weights @ v3
+    if heads > 1:
+        out = np.ascontiguousarray(out.transpose(1, 0, 2)).reshape(n_q, dim_v)
 
     def grad_fn(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
+        if heads > 1:
+            g = g.reshape(n_q, heads, dim_v // heads).transpose(1, 0, 2)
+        gq = gk = gv = None
+        if q.requires_grad or k.requires_grad:
+            gs = _softmax_backward(weights, g @ v3.swapaxes(-1, -2), axis) * scale
+            if q.requires_grad:
+                gq = gs @ k3.swapaxes(-1, -2)
+            if k.requires_grad:
+                gk = q3.swapaxes(-1, -2) @ gs
+        if v.requires_grad:
+            gv = weights.swapaxes(-1, -2) @ g
+        if heads == 1:
+            return gq, (None if gk is None else gk.T), gv
+        return (
+            None if gq is None else gq.transpose(1, 0, 2).reshape(n_q, dim),
+            None if gk is None else gk.transpose(2, 0, 1).reshape(n_k, dim),
+            None if gv is None else gv.transpose(1, 0, 2).reshape(n_k, dim_v),
+        )
 
-    return _node(out, (a,), grad_fn)
+    return _node(out, (q, k, v), grad_fn)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -536,9 +610,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise DimensionError(
             f"layer_norm: gain {gain.shape} / bias {bias.shape} must be ({d},)"
         )
-    mu = x.data.mean(axis=1, keepdims=True)
+    mu = _mean(x.data, 1, True)
     xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    var = _mean(xc * xc, 1, True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.data[None, :] + bias.data[None, :]
@@ -549,8 +623,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             dxhat = g * gain.data[None, :]
             gx = inv * (
                 dxhat
-                - dxhat.mean(axis=1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+                - _mean(dxhat, 1, True)
+                - xhat * _mean(dxhat * xhat, 1, True)
             )
         ggain = (g * xhat).sum(axis=0) if gain.requires_grad else None
         return gx, ggain, (g.sum(axis=0) if bias.requires_grad else None)

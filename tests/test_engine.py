@@ -443,6 +443,30 @@ class TestTTDA:
             assert record["iou_after"] == record["iou_before"]
             assert record["entropy_after"] == record["entropy_before"]
 
+    def test_lambda_zero_runs_only_the_unadapted_decodes(self, workspace, monkeypatch):
+        # With all weights zero no forward beyond each slice's unadapted one
+        # runs.  The records equal those of a run that does take the taped
+        # forward and then finds no loss term (contrastive weight only, no
+        # negative in reach).
+        samples = load_split(workspace["data"], load_manifest(workspace["data"]), "target_test")
+        assert len(samples) == 10 and len({s.volume_id for s in samples}) == 1
+        ttda = replace(workspace["cfg"].ttda, lambda_entropy=0.0, lambda_proximity=0.0)
+        fragments, decodes = [], []
+        for settings in (
+            replace(ttda, lambda_contrastive=0.0),
+            replace(ttda, lambda_contrastive=0.1, negative_min_offset=10),
+        ):
+            with monkeypatch.context() as m:
+                calls = _count_calls(m, SegmentationModel, "decode")
+                cfg = replace(workspace["cfg"], ttda=settings)
+                fragments.append(run_ttda(workspace["base"]["checkpoint"], workspace["data"], cfg))
+            decodes.append(len(calls))
+        zero, termless = fragments
+        assert decodes == [10, 20]
+        assert zero["per_sample"] == termless["per_sample"]
+        assert zero["mean_iou_after"] == zero["mean_iou_before"] == termless["mean_iou_before"]
+        assert zero["entropy_improved_fraction"] == 0.0
+
     def test_restore_verification_catches_drift(self, workspace, monkeypatch):
         import segadapt.engine as engine
 

@@ -1,15 +1,24 @@
+import itertools
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from segadapt import Tensor, backward, concat, no_grad
+import segadapt.tensor as tensor
+from segadapt import Init, ParameterRegistry, Tensor, backward, concat, finite_diff_check, no_grad
+from segadapt.adapter import AdapterConfig, attach_decoder_adapter
 from segadapt.errors import ContractError, DimensionError
+from segadapt.model import ModelConfig, PromptSet, SegmentationModel
 from segadapt.tensor import (
     LOG_CLAMP,
+    _mean,
     add_bias,
+    attention,
     gather_rows,
     layer_norm,
     matmul,
@@ -196,6 +205,125 @@ class TestSoftmax:
         assert s.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def _chain_attention(q, k, v, heads, scale):
+    """The chain of separate nodes that ``attention`` replaces: its reference."""
+    n_q, dim = q.shape
+    n_k, dim_v = v.shape
+    if heads == 1:
+        return softmax((q @ k.T) * scale, axis=1) @ v
+    q3 = q.reshape(n_q, heads, dim // heads).permute(1, 0, 2)
+    k3 = k.reshape(n_k, heads, dim // heads).permute(1, 2, 0)
+    v3 = v.reshape(n_k, heads, dim_v // heads).permute(1, 0, 2)
+    weights = softmax((q3 @ k3) * scale, axis=2)
+    return (weights @ v3).permute(1, 0, 2).reshape(n_q, dim_v)
+
+
+def _attention_run(op, heads, leaves, inputs):
+    """Forward bytes and every leaf's .grad bytes of ``op`` under a fixed loss."""
+    rng = np.random.default_rng(heads)
+    leaves = {name: Tensor(data, requires_grad=grad) for name, (data, grad) in leaves.items()}
+    q, k, v = inputs(leaves)
+    out = op(q, k, v, heads, 1.0 / math.sqrt(q.shape[1] // heads))
+    w = Tensor(rng.standard_normal(out.shape).astype(np.float32))
+    loss = (out * out * w).sum()
+    if loss.requires_grad:
+        backward(loss)
+    grads = {n: None if t.grad is None else t.grad.tobytes() for n, t in leaves.items()}
+    return out.data.dtype, out.data.tobytes(), grads
+
+
+class TestAttention:
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("mask", list(itertools.product([False, True], repeat=3)))
+    def test_bit_identical_to_the_chain(self, heads, mask):
+        rng = np.random.default_rng(30 + heads)
+        n_q, n_k, dim, dim_v = 5, 7, 8, 12
+        shapes = {"q": (n_q, dim), "k": (n_k, dim), "v": (n_k, dim_v)}
+        leaves = {
+            n: (rng.standard_normal(shape).astype(np.float32), grad)
+            for (n, shape), grad in zip(shapes.items(), mask)
+        }
+        inputs = lambda t: (t["q"], t["k"], t["v"])  # noqa: E731
+        fused = _attention_run(attention, heads, leaves, inputs)
+        assert fused == _attention_run(_chain_attention, heads, leaves, inputs)
+        assert fused[0] == np.float32
+        assert [g is not None for g in fused[2].values()] == list(mask)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_bit_identical_with_projections_of_a_shared_input(self, heads, cross):
+        # Self-attention projects q, k and v from one input; cross-attention
+        # projects k and v from one and q from another, so n_q != n_k.  The
+        # flows into a shared input sum in the chain's order.
+        rng = np.random.default_rng(40 + heads)
+        f32 = lambda *shape: rng.standard_normal(shape).astype(np.float32)  # noqa: E731
+        leaves = {"x": (f32(5, 6), True), "y": (f32(9, 6), True)}
+        leaves.update({n: (f32(6, 8), True) for n in ("wq", "wk", "wv")})
+
+        def inputs(t):
+            kv = t["y"] if cross else t["x"]
+            return t["x"] @ t["wq"], kv @ t["wk"], kv @ t["wv"]
+
+        fused = _attention_run(attention, heads, leaves, inputs)
+        assert fused == _attention_run(_chain_attention, heads, leaves, inputs)
+        assert (fused[2]["y"] is not None) == cross
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_gradcheck(self, heads):
+        reg = ParameterRegistry(dtype=np.float64)
+        reg.add("q", (3, 4), Init.normal(1.0))
+        reg.add("k", (5, 4), Init.normal(1.0))
+        reg.add("v", (5, 6), Init.normal(1.0))
+        reg.initialize(seed=heads)
+        w = Tensor(np.random.default_rng(6).standard_normal((3, 6)), dtype=np.float64)
+
+        def f():
+            out = attention(reg.get("q"), reg.get("k"), reg.get("v"), heads, 0.7)
+            return (out * out * w).sum()
+
+        assert finite_diff_check(f, reg, eps=1e-5, coords_per_param=12) <= 1e-6
+
+    def test_closure_skips_inputs_that_need_no_gradient(self):
+        rng = np.random.default_rng(8)
+        const = Tensor(rng.standard_normal((3, 4)))
+        w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        for heads in (1, 2):
+            for out, needed in [
+                (attention(const @ w, const, const, heads, 0.5), (True, False, False)),
+                (attention(const, const @ w, const, heads, 0.5), (False, True, False)),
+                (attention(const, const, const @ w, heads, 0.5), (False, False, True)),
+            ]:
+                grads = out._grad_fn(np.ones(out.shape, dtype=np.float32))
+                assert tuple(pg is not None for pg in grads) == needed
+
+    def test_shape_and_dtype_errors(self):
+        x = Tensor(np.ones((3, 4)), dtype=np.float32)
+        with pytest.raises(DimensionError):
+            attention(x, Tensor(np.ones((3, 6)), dtype=np.float32), x, 1, 1.0)
+        with pytest.raises(DimensionError):
+            attention(x, x, x, 3, 1.0)
+        with pytest.raises(ContractError):
+            attention(x, x, Tensor(np.ones((3, 4)), dtype=np.float64), 1, 1.0)
+
+    def test_predict_records_one_node_per_attention(self, monkeypatch):
+        # 6 encoder blocks, 3 attentions in each of 2 decoder layers and 2
+        # adapters; the only permutes left are the 3 upsampling stages'.
+        ops = Counter()
+        real_node = tensor._node
+
+        def counting(data, parents, grad_fn):
+            ops[sys._getframe(1).f_code.co_name] += 1
+            return real_node(data, parents, grad_fn)
+
+        model = SegmentationModel(ModelConfig())
+        attach_decoder_adapter(model, AdapterConfig())
+        monkeypatch.setattr(tensor, "_node", counting)
+        model.predict(np.zeros((64, 64)), PromptSet([(20, 30, 1)]))
+        assert ops["attention"] == 14
+        assert ops["permute"] == 3
+        assert ops["softmax"] == 0
+
+
 class TestLayerNorm:
     def test_normalizes_rows(self):
         rng = np.random.default_rng(15)
@@ -292,6 +420,25 @@ class TestShapeOps:
         np.testing.assert_allclose(t.mean().item(), x.mean())
         np.testing.assert_allclose(t.sum(axis=0).data, x.sum(axis=0))
         np.testing.assert_allclose(t.mean(axis=1).data, x.mean(axis=1))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        hnp.arrays(
+            st.sampled_from([np.float32, np.float64]),
+            hnp.array_shapes(min_dims=2, max_dims=3, max_side=6),
+            elements=st.floats(allow_nan=True, allow_infinity=True, width=32),
+        ),
+        st.sampled_from([None, 0, 1, -1]),
+        st.booleans(),
+    )
+    @example(np.array([[np.inf, 1.0], [np.nan, 2.0], [-np.inf, np.inf]], dtype=np.float32), 1, True)
+    @example(np.array([[1e30, 1e30, -1e30], [3.0, 0.1, 0.2]], dtype=np.float64), -1, False)
+    def test_mean_equals_ndarray_mean_byte_for_byte(self, x, axis, keepdims):
+        with np.errstate(all="ignore"):
+            expected = np.asarray(x.mean(axis=axis, keepdims=keepdims))
+            got = _mean(x, axis, keepdims)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
     def test_reduction_gradients(self):
         rng = np.random.default_rng(20)
