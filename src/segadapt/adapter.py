@@ -5,16 +5,18 @@ dense embeddings attend over that bank (embeddings as queries, prompts as keys
 and values) and the result is folded back in through a scalar gate that starts
 at zero, so a freshly attached adapter leaves the base model's outputs intact.
 
-Attachment wires into the model's dense/encoder hooks and registers the new
-parameters under the "adapter." name prefix, which is what checkpoint
-prefix-filtering and the freeze policies key on.
+Each layer's parameters live in the model's registry under one scope
+("adapter.dec<i>" or "adapter.enc<i>") and are read back from it by name, as
+the model's own layers read theirs.  Attachment wires a hook that applies the
+layer's scope into the model's dense/encoder path; the freeze policies key on
+the "adapter." name prefix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import ContractError, ValidationError
 from .model import SegmentationModel
@@ -77,40 +79,16 @@ class LoraConfig:
         return alpha / self.rank
 
 
-@dataclass
-class AdapterLayerState:
-    """Per-layer adapter parameters, resolved from the registry by scope."""
-
-    prompts: Tensor  # [N, prompt_dim]
-    gate: Tensor  # scalar, zero at construction
-    query_w: Tensor
-    query_b: Tensor
-    key_w: Tensor  # no bias: softmax cancels a per-query additive constant
-    value_w: Tensor
-    value_b: Tensor
-    proj_w: Tensor
-    proj_b: Tensor
-    post_w: Tensor  # identity at construction
-    post_b: Tensor
-
-
-@dataclass
-class AdapterAttachment:
-    placement: str
-    config: AdapterConfig
-    layer_indices: list[int]
-    states: dict[int, AdapterLayerState]
-
-
 def declare_adapter_layer(
     registry: ParameterRegistry, scope: str, token_dim: int, cfg: AdapterConfig
-) -> AdapterLayerState:
-    """Register one layer's adapter parameters under `scope` and return views."""
+) -> None:
+    """Register one layer's adapter parameters under `scope`."""
     add = registry.add
     add(f"{scope}.prompts", (cfg.num_prompts, cfg.prompt_dim), Init.normal(cfg.init_scale))
     add(f"{scope}.gate", (), Init.zeros())
     add(f"{scope}.query.weight", (token_dim, cfg.key_dim), Init.lecun())
     add(f"{scope}.query.bias", (cfg.key_dim,), Init.zeros())
+    # No key bias: softmax cancels a per-query additive constant.
     add(f"{scope}.key.weight", (cfg.prompt_dim, cfg.key_dim), Init.lecun())
     add(f"{scope}.value.weight", (cfg.prompt_dim, cfg.value_dim), Init.lecun())
     add(f"{scope}.value.bias", (cfg.value_dim,), Init.zeros())
@@ -118,114 +96,76 @@ def declare_adapter_layer(
     add(f"{scope}.proj.bias", (token_dim,), Init.zeros())
     add(f"{scope}.post.weight", (token_dim, token_dim), Init.identity())
     add(f"{scope}.post.bias", (token_dim,), Init.zeros())
-    g = registry.get
-    return AdapterLayerState(
-        prompts=g(f"{scope}.prompts"),
-        gate=g(f"{scope}.gate"),
-        query_w=g(f"{scope}.query.weight"),
-        query_b=g(f"{scope}.query.bias"),
-        key_w=g(f"{scope}.key.weight"),
-        value_w=g(f"{scope}.value.weight"),
-        value_b=g(f"{scope}.value.bias"),
-        proj_w=g(f"{scope}.proj.weight"),
-        proj_b=g(f"{scope}.proj.bias"),
-        post_w=g(f"{scope}.post.weight"),
-        post_b=g(f"{scope}.post.bias"),
-    )
 
 
-def adapter_attention(tokens: Tensor, st: AdapterLayerState) -> Tensor:
+def adapter_attention(tokens: Tensor, registry: ParameterRegistry, scope: str) -> Tensor:
     """Embeddings attend over the prompt bank; scores divided by sqrt(value dim)."""
-    q = add_bias(tokens @ st.query_w, st.query_b)
-    k = st.prompts @ st.key_w
-    v = add_bias(st.prompts @ st.value_w, st.value_b)
+    g = registry.get
+    prompts = g(f"{scope}.prompts")
+    q = add_bias(tokens @ g(f"{scope}.query.weight"), g(f"{scope}.query.bias"))
+    k = prompts @ g(f"{scope}.key.weight")
+    v = add_bias(prompts @ g(f"{scope}.value.weight"), g(f"{scope}.value.bias"))
     scale = 1.0 / math.sqrt(v.shape[1])
-    return add_bias(attention(q, k, v, 1, scale) @ st.proj_w, st.proj_b)
+    return add_bias(attention(q, k, v, 1, scale) @ g(f"{scope}.proj.weight"), g(f"{scope}.proj.bias"))
 
 
-def adapter_apply(tokens: Tensor, st: AdapterLayerState) -> Tensor:
+def adapter_apply(tokens: Tensor, registry: ParameterRegistry, scope: str) -> Tensor:
     """Gated correction then output projection: post(tokens + gate * attention)."""
-    corrected = tokens + adapter_attention(tokens, st) * st.gate
-    return add_bias(corrected @ st.post_w, st.post_b)
+    g = registry.get
+    corrected = tokens + adapter_attention(tokens, registry, scope) * g(f"{scope}.gate")
+    return add_bias(corrected @ g(f"{scope}.post.weight"), g(f"{scope}.post.bias"))
 
 
-def _guard_fresh(model: SegmentationModel, prefix: str) -> None:
-    for name in model.registry.names():
-        if name.startswith(prefix):
-            raise ContractError(f"adapter already attached: found parameter {name!r}")
-
-
-def attach_decoder_adapter(
-    model: SegmentationModel, cfg: AdapterConfig, seed: int = 0
-) -> AdapterAttachment:
+def attach_decoder_adapter(model: SegmentationModel, cfg: AdapterConfig, seed: int = 0) -> None:
     """One adapter per decoder layer, applied to the dense-embedding output."""
     cfg.validate()
     if cfg.placement != "decoder":
         raise ValidationError(f"decoder attachment requires placement 'decoder', got {cfg.placement!r}")
-    _guard_fresh(model, "adapter.dec")
     if model.dense_hook is not None:
         raise ContractError("model already has a dense hook")
-    indices = list(range(model.cfg.dec_depth))
-    states = {
-        i: declare_adapter_layer(model.registry, f"adapter.dec{i}", model.cfg.dec_dim, cfg)
-        for i in indices
-    }
-    model.registry.initialize(
-        seed, only=[n for n in model.registry.names() if n.startswith("adapter.dec")]
-    )
-    model.dense_hook = lambda dense, layer: adapter_apply(dense, states[layer])
+    reg = model.registry
+    for i in range(model.cfg.dec_depth):
+        declare_adapter_layer(reg, f"adapter.dec{i}", model.cfg.dec_dim, cfg)
+    reg.initialize(seed, only=[n for n in reg.names() if n.startswith("adapter.dec")])
+    model.dense_hook = lambda dense, layer: adapter_apply(dense, reg, f"adapter.dec{layer}")
     apply_freeze_policy(model, "sam_da_dec")
-    return AdapterAttachment("decoder", cfg, indices, states)
 
 
-def attach_encoder_adapter(
-    model: SegmentationModel, cfg: AdapterConfig, seed: int = 0
-) -> AdapterAttachment:
+def attach_encoder_adapter(model: SegmentationModel, cfg: AdapterConfig, seed: int = 0) -> None:
     """Adapters on the final encoder blocks, applied to each block's tokens."""
     cfg.validate()
     if cfg.placement != "encoder":
         raise ValidationError(f"encoder attachment requires placement 'encoder', got {cfg.placement!r}")
-    _guard_fresh(model, "adapter.enc")
     if model.encoder_hook is not None:
         raise ContractError("model already has an encoder hook")
     depth = model.cfg.enc_depth
-    count = cfg.resolved_encoder_blocks(depth)
-    indices = list(range(depth - count, depth))
-    states = {
-        i: declare_adapter_layer(model.registry, f"adapter.enc{i}", model.cfg.enc_dim, cfg)
-        for i in indices
-    }
-    model.registry.initialize(
-        seed, only=[n for n in model.registry.names() if n.startswith("adapter.enc")]
-    )
-    model.encoder_hook = lambda x, i: adapter_apply(x, states[i]) if i in states else x
+    first = depth - cfg.resolved_encoder_blocks(depth)
+    reg = model.registry
+    for i in range(first, depth):
+        declare_adapter_layer(reg, f"adapter.enc{i}", model.cfg.enc_dim, cfg)
+    reg.initialize(seed, only=[n for n in reg.names() if n.startswith("adapter.enc")])
+    model.encoder_hook = lambda x, i: adapter_apply(x, reg, f"adapter.enc{i}") if i >= first else x
     apply_freeze_policy(model, "sam_da_enc")
-    return AdapterAttachment("encoder", cfg, indices, states)
 
 
-def attach_lora(model: SegmentationModel, cfg: LoraConfig, seed: int = 0) -> list[str]:
+def attach_lora(model: SegmentationModel, cfg: LoraConfig, seed: int = 0) -> None:
     """Low-rank deltas on encoder attention projections; up-projection zero-init."""
     cfg.validate()
-    _guard_fresh(model, "lora.")
+    if model.lora_deltas:
+        raise ContractError("model already has LoRA deltas")
     dim = model.cfg.enc_dim
     if cfg.rank > dim:
         raise ValidationError(f"rank {cfg.rank} exceeds projection dim {dim}")
     reg = model.registry
-    attached: list[str] = []
     for i in range(model.cfg.enc_depth):
         for target in cfg.targets:
             scope = f"lora.block{i}.{target}"
-            proj = f"encoder.block{i}.attn.{target}"
-            if proj in model.lora_deltas:
-                raise ContractError(f"projection {proj!r} already has a LoRA delta")
             # initialize() below rebinds the values of these same tensors.
             down = reg.add(f"{scope}.down", (dim, cfg.rank), Init.lecun()).tensor
             up = reg.add(f"{scope}.up", (cfg.rank, dim), Init.zeros()).tensor
-            model.lora_deltas[proj] = (down, up, cfg.scaling)
-            attached.append(proj)
+            model.lora_deltas[f"encoder.block{i}.attn.{target}"] = (down, up, cfg.scaling)
     reg.initialize(seed, only=[n for n in reg.names() if n.startswith("lora.")])
     apply_freeze_policy(model, "lora")
-    return attached
 
 
 _POLICIES: dict[str, Callable[[str], bool]] = {

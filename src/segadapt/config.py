@@ -47,6 +47,8 @@ class TrainSettings:
             raise ValidationError(f"method {self.method!r} not one of {METHODS}")
         if self.lr <= 0 or self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("lr must be positive; epochs and batch_size at least 1")
+        if self.seed < 0:
+            raise ValidationError(f"train seed must be >= 0, got {self.seed}")
         if self.weight_decay < 0:
             raise ValidationError(f"weight_decay must be non-negative, got {self.weight_decay}")
         if self.max_train_samples is not None and self.max_train_samples < 1:
@@ -74,6 +76,8 @@ class TTDASettings:
             raise ValidationError(f"iterations must be >= 1, got {self.iterations}")
         if self.lr <= 0:
             raise ValidationError(f"lr must be positive, got {self.lr}")
+        if self.seed < 0:
+            raise ValidationError(f"ttda seed must be >= 0, got {self.seed}")
         if min(self.lambda_entropy, self.lambda_proximity, self.lambda_contrastive) < 0:
             raise ValidationError("TTDA loss weights must be non-negative")
         if not 0 < self.positive_offset < self.negative_min_offset:

@@ -77,6 +77,8 @@ class DomainConfig:
     def validate(self) -> None:
         if self.image_size < 8:
             raise ValidationError(f"image_size {self.image_size} too small")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         lo, hi = self.num_blobs
         if not 1 <= lo <= hi:
             raise ValidationError(f"num_blobs range {self.num_blobs} invalid")

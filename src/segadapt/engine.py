@@ -393,6 +393,8 @@ def evaluate_checkpoint(
     seed: int = 0,
     report_path: str | Path | None = None,
 ) -> dict:
+    if seed < 0:
+        raise ValidationError(f"eval seed must be >= 0, got {seed}")
     data_root = Path(data_root)
     manifest = load_manifest(data_root)
     if domain not in manifest["domains"]:

@@ -48,12 +48,18 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        # Sizes first: the divisibility checks below divide by them.
+        if self.patch_size < 2 or self.patch_size & (self.patch_size - 1):
+            raise ValidationError(f"patch_size {self.patch_size} must be a power of two >= 2")
         if self.image_size <= 0 or self.image_size % self.patch_size:
             raise ValidationError(
                 f"image_size {self.image_size} must be a positive multiple of patch_size {self.patch_size}"
             )
-        if self.patch_size < 2 or self.patch_size & (self.patch_size - 1):
-            raise ValidationError(f"patch_size {self.patch_size} must be a power of two >= 2")
+        if min(self.enc_dim, self.enc_heads, self.enc_depth,
+               self.dec_dim, self.dec_heads, self.dec_depth, self.mlp_ratio) < 1:
+            raise ValidationError("dims, heads, depths and mlp_ratio must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.enc_dim % self.enc_heads:
             raise ValidationError(f"enc_dim {self.enc_dim} not divisible by enc_heads {self.enc_heads}")
         if self.dec_dim % self.dec_heads:
@@ -67,8 +73,6 @@ class ModelConfig:
             )
         if self.num_mask_tokens != 1:
             raise ValidationError("single-mask model: num_mask_tokens must be 1")
-        if min(self.enc_depth, self.dec_depth, self.mlp_ratio) < 1:
-            raise ValidationError("depths and mlp_ratio must be >= 1")
 
     @property
     def grid_size(self) -> int:

@@ -223,19 +223,19 @@ def test_criterion_2_gradient_fidelity(criterion):
 
     # (a) adapter attention + application in isolation
     reg = ParameterRegistry(dtype=np.float64)
-    state = declare_adapter_layer(reg, "adapter.dec0", 4, SMALL_ADAPTER)
+    declare_adapter_layer(reg, "adapter.dec0", 4, SMALL_ADAPTER)
     reg.initialize(5)
-    state.gate.data[...] = 0.3  # leave the zero-init to exercise attention
+    reg.get("adapter.dec0.gate").data[...] = 0.3  # leave the zero-init to exercise attention
     tokens = np.random.default_rng(6).normal(size=(7, 4))
     errors["adapter_ops"] = finite_diff_check(
-        lambda: (adapter_apply(Tensor(tokens), state) ** 2.0).sum(), reg, eps=1e-5
+        lambda: (adapter_apply(Tensor(tokens), reg, "adapter.dec0") ** 2.0).sum(), reg, eps=1e-5
     )
 
     def adapted_model() -> SegmentationModel:
         model = SegmentationModel(TINY, dtype=np.float64)
-        att = attach_decoder_adapter(model, SMALL_ADAPTER, seed=5)
-        for st in att.states.values():
-            st.gate.data[...] = 0.25
+        attach_decoder_adapter(model, SMALL_ADAPTER, seed=5)
+        for layer in range(TINY.dec_depth):
+            model.registry.get(f"adapter.dec{layer}.gate").data[...] = 0.25
         apply_freeze_policy(model, "full_ft")  # gradcheck sweeps every weight
         return model
 

@@ -1,6 +1,7 @@
 """Adapter mechanics: attention math, zero-init equivalence, policies, counts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from segadapt import Tensor, no_grad
 from segadapt.adapter import (
     METHODS,
     AdapterConfig,
-    AdapterLayerState,
     LoraConfig,
     adapter_apply,
     adapter_attention,
@@ -55,95 +55,92 @@ def sample_image(seed: int = 0) -> np.ndarray:
 PROMPTS = PromptSet([(4.0, 5.0, 1), (10.0, 2.0, 0)])
 
 
-def scalar_state(prompt_rows, token_dim=1) -> AdapterLayerState:
-    """1-dim everything, unit weights, zero biases, identity post, unit gate."""
+SCOPE = "adapter.dec0"
 
-    def t(v):
-        return Tensor(np.asarray(v, dtype=np.float64))
 
-    return AdapterLayerState(
-        prompts=t(prompt_rows),
-        gate=t(1.0),
-        query_w=t([[1.0]]),
-        query_b=t([0.0]),
-        key_w=t([[1.0]]),
-        value_w=t([[1.0]]),
-        value_b=t([0.0]),
-        proj_w=t([[1.0]]),
-        proj_b=t([0.0]),
-        post_w=t(np.eye(token_dim)),
-        post_b=t(np.zeros(token_dim)),
-    )
+def scalar_state(prompt_rows) -> ParameterRegistry:
+    """One layer at SCOPE in a float64 registry: 1-dim everything, unit
+    weights, zero biases, identity post, unit gate."""
+    reg = ParameterRegistry(dtype=np.float64)
+    declare_adapter_layer(reg, SCOPE, 1, AdapterConfig(len(prompt_rows), 1, 1, 1))
+    reg.get(f"{SCOPE}.prompts").data[...] = prompt_rows
+    for name in ("gate", "query.weight", "key.weight", "value.weight", "proj.weight", "post.weight"):
+        reg.get(f"{SCOPE}.{name}").data[...] = 1.0
+    return reg
 
 
 class TestAdapterAttention:
     def test_scalar_hand_computation(self):
-        st = scalar_state([[1.0], [3.0]])
-        out = adapter_attention(Tensor(np.array([[2.0]])), st)
+        reg = scalar_state([[1.0], [3.0]])
+        out = adapter_attention(Tensor(np.array([[2.0]])), reg, SCOPE)
         expect = (math.exp(2.0) * 1.0 + math.exp(6.0) * 3.0) / (math.exp(2.0) + math.exp(6.0))
         assert abs(out.item() - expect) <= 1e-6
 
     def test_single_prompt_broadcasts_its_value(self):
         # One key: softmax weight is 1 for every query row regardless of score.
         rng = np.random.default_rng(0)
-        st = scalar_state([[0.7]])
+        reg = scalar_state([[0.7]])
         tokens = Tensor(rng.normal(size=(5, 1)))
-        out = adapter_attention(tokens, st)
+        out = adapter_attention(tokens, reg, SCOPE)
         np.testing.assert_allclose(out.data, np.full((5, 1), 0.7), atol=1e-12)
 
     def test_zero_prompts_yield_projection_bias(self):
-        st = scalar_state([[0.0], [0.0]])
-        st.proj_b.data[...] = 1.25
-        out = adapter_attention(Tensor(np.array([[0.4], [2.0], [-3.0]])), st)
+        reg = scalar_state([[0.0], [0.0]])
+        reg.get(f"{SCOPE}.proj.bias").data[...] = 1.25
+        out = adapter_attention(Tensor(np.array([[0.4], [2.0], [-3.0]])), reg, SCOPE)
         np.testing.assert_allclose(out.data, np.full((3, 1), 1.25), atol=1e-12)
 
     def test_scores_divided_by_sqrt_value_dim(self):
         # With distinct key/value dims the divisor must follow the value dim.
         reg = ParameterRegistry(dtype=np.float64)
         cfg = AdapterConfig(num_prompts=3, prompt_dim=4, key_dim=2, value_dim=8)
-        st = declare_adapter_layer(reg, "adapter.dec0", 5, cfg)
+        declare_adapter_layer(reg, SCOPE, 5, cfg)
         reg.initialize(1)
         tokens = np.random.default_rng(2).normal(size=(6, 5))
         with no_grad():
-            out = adapter_attention(Tensor(tokens), st)
-        q = tokens @ st.query_w.data + st.query_b.data
-        k = st.prompts.data @ st.key_w.data
-        v = st.prompts.data @ st.value_w.data + st.value_b.data
+            out = adapter_attention(Tensor(tokens), reg, SCOPE)
+
+        def w(name):
+            return reg.get(f"{SCOPE}.{name}").data
+
+        q = tokens @ w("query.weight") + w("query.bias")
+        k = w("prompts") @ w("key.weight")
+        v = w("prompts") @ w("value.weight") + w("value.bias")
         scores = q @ k.T / math.sqrt(8)
-        w = np.exp(scores - scores.max(axis=1, keepdims=True))
-        w /= w.sum(axis=1, keepdims=True)
-        expect = (w @ v) @ st.proj_w.data + st.proj_b.data
+        weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+        weights /= weights.sum(axis=1, keepdims=True)
+        expect = (weights @ v) @ w("proj.weight") + w("proj.bias")
         np.testing.assert_allclose(out.data, expect, atol=1e-10)
 
 
 class TestAdapterApply:
     def test_fresh_layer_is_exact_identity(self):
         reg = ParameterRegistry(dtype=np.float32)
-        st = declare_adapter_layer(reg, "adapter.dec0", 16, TOY_ADAPTER)
+        declare_adapter_layer(reg, SCOPE, 16, TOY_ADAPTER)
         reg.initialize(3)
         tokens = np.random.default_rng(4).normal(size=(10, 16)).astype(np.float32)
         with no_grad():
-            out = adapter_apply(Tensor(tokens), st)
+            out = adapter_apply(Tensor(tokens), reg, SCOPE)
         np.testing.assert_array_equal(out.data, tokens)
 
     def test_unit_gate_zero_attention_reduces_to_post_projection(self):
-        st = scalar_state([[0.0], [0.0]])
-        st.gate.data[...] = 1.0
-        st.post_w.data[...] = 2.0
+        reg = scalar_state([[0.0], [0.0]])
+        reg.get(f"{SCOPE}.gate").data[...] = 1.0
+        reg.get(f"{SCOPE}.post.weight").data[...] = 2.0
         tokens = Tensor(np.array([[1.5], [-0.5]]))
-        out = adapter_apply(tokens, st)
+        out = adapter_apply(tokens, reg, SCOPE)
         np.testing.assert_allclose(out.data, tokens.data * 2.0, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         reg = ParameterRegistry(dtype=np.float64)
         cfg = AdapterConfig(num_prompts=2, prompt_dim=6, key_dim=3, value_dim=3)
-        st = declare_adapter_layer(reg, "adapter.dec0", 4, cfg)
+        declare_adapter_layer(reg, SCOPE, 4, cfg)
         reg.initialize(5)
-        st.gate.data[...] = 0.3  # exercise the attention branch
+        reg.get(f"{SCOPE}.gate").data[...] = 0.3  # exercise the attention branch
         tokens = np.random.default_rng(6).normal(size=(7, 4))
 
         def objective():
-            out = adapter_apply(Tensor(tokens), st)
+            out = adapter_apply(Tensor(tokens), reg, SCOPE)
             return (out * out).sum()
 
         err = finite_diff_check(objective, reg, eps=1e-5, coords_per_param=4, seed=0)
@@ -152,13 +149,13 @@ class TestAdapterApply:
     def test_gate_gradient_nonzero_at_zero(self):
         # The gate must receive signal while still at its zero init.
         reg = ParameterRegistry(dtype=np.float64)
-        st = declare_adapter_layer(reg, "adapter.dec0", 4, AdapterConfig(2, 8, 4, 4))
+        declare_adapter_layer(reg, SCOPE, 4, AdapterConfig(2, 8, 4, 4))
         reg.initialize(9)
         tokens = Tensor(np.random.default_rng(10).normal(size=(5, 4)))
         from segadapt.tensor import backward
 
-        backward(adapter_apply(tokens, st).sum())
-        assert abs(float(st.gate.grad)) > 1e-8
+        backward(adapter_apply(tokens, reg, SCOPE).sum())
+        assert abs(float(reg.get(f"{SCOPE}.gate").grad)) > 1e-8
 
 
 class TestDecoderAttachment:
@@ -173,10 +170,9 @@ class TestDecoderAttachment:
 
     def test_one_state_per_decoder_layer(self):
         model = tiny_model()
-        attachment = attach_decoder_adapter(model, TOY_ADAPTER)
-        assert attachment.layer_indices == [0, 1]
-        assert sorted(attachment.states) == [0, 1]
-        assert any(n.startswith("adapter.dec1.") for n in model.registry.names())
+        attach_decoder_adapter(model, TOY_ADAPTER)
+        scopes = {n.split(".")[1] for n in model.registry.names() if n.startswith("adapter.")}
+        assert scopes == {"dec0", "dec1"}
 
     def test_policy_trains_adapter_only(self):
         model = tiny_model()
@@ -250,8 +246,9 @@ class TestEncoderAttachment:
             num_prompts=2, prompt_dim=32, key_dim=8, value_dim=8,
             placement="encoder", encoder_adapted_blocks=1,
         )
-        attachment = attach_encoder_adapter(model, cfg)
-        assert attachment.layer_indices == [1]
+        attach_encoder_adapter(model, cfg)
+        scopes = {n.split(".")[1] for n in model.registry.names() if n.startswith("adapter.")}
+        assert scopes == {"enc1"}
 
     def test_too_many_blocks_rejected(self):
         cfg = AdapterConfig(placement="encoder", encoder_adapted_blocks=3)
@@ -320,6 +317,39 @@ class TestLora:
         up = model.registry.get("lora.block0.query.up")
         assert np.abs(up.grad).max() > 0
         assert np.abs(down.grad).max() > 0
+
+
+def _attach_encoder(model):
+    attach_encoder_adapter(model, replace(TOY_ADAPTER, placement="encoder"))
+
+
+class TestSecondAttachment:
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (lambda m: attach_decoder_adapter(m, TOY_ADAPTER), lambda m: attach_decoder_adapter(m, TOY_ADAPTER)),
+            (_attach_encoder, _attach_encoder),
+            (
+                lambda m: attach_lora(m, LoraConfig()),
+                lambda m: attach_lora(m, LoraConfig(targets=("key", "out"))),
+            ),
+        ],
+        ids=["decoder", "encoder", "lora"],
+    )
+    def test_refused_second_attachment_changes_nothing(self, first, second):
+        model = tiny_model()
+        first(model)
+        names = model.registry.names()
+        trainable = [model.registry.param(n).trainable for n in names]
+        dense_hook, encoder_hook = model.dense_hook, model.encoder_hook
+        deltas = dict(model.lora_deltas)
+        with pytest.raises(ContractError):
+            second(model)
+        assert model.registry.names() == names
+        assert [model.registry.param(n).trainable for n in names] == trainable
+        assert model.dense_hook is dense_hook and model.encoder_hook is encoder_hook
+        assert model.lora_deltas.keys() == deltas.keys()
+        assert all(model.lora_deltas[k] is v for k, v in deltas.items())
 
 
 class TestParamCount:

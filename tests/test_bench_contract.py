@@ -9,13 +9,15 @@ import importlib.util
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import segadapt.adapter
 import segadapt.engine
 from segadapt.checkpoint import dump_bytes
-from segadapt.config import default_config
+from segadapt.config import TOY_ADAPTER, default_config
 from segadapt.data import SplitSizes, generate_dataset
-from segadapt.model import SegmentationModel
+from segadapt.model import ModelConfig, PromptSet, SegmentationModel
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -44,6 +46,32 @@ def test_every_trace_target_is_its_owners_own_attribute(targets):
 @pytest.mark.parametrize("name", ["supervised_loss", "compute_iou", "restore"])
 def test_sample_boundary_clocks_are_engine_globals(name):
     assert callable(vars(segadapt.engine)[name])
+
+
+@pytest.mark.parametrize("placement", ["decoder", "encoder"])
+def test_adapter_hooks_resolve_the_traced_module_global(placement, monkeypatch):
+    # The tracer's adapter.adapter_apply span replaces the module attribute
+    # after the model is wired, so a hook must look the function up per call.
+    cfg = ModelConfig()
+    adapter_cfg = replace(TOY_ADAPTER, placement=placement)
+    model = SegmentationModel(cfg)
+    attach = vars(segadapt.adapter)[f"attach_{placement}_adapter"]
+    attach(model, adapter_cfg)
+    calls = []
+    original = segadapt.adapter.adapter_apply
+
+    def counting(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(segadapt.adapter, "adapter_apply", counting)
+    image = np.random.default_rng(0).uniform(size=(cfg.image_size, cfg.image_size))
+    model.predict(image, PromptSet([(20.0, 30.0, 1)]))
+    if placement == "decoder":
+        assert calls == [f"adapter.dec{i}" for i in range(cfg.dec_depth)]
+    else:
+        first = cfg.enc_depth - adapter_cfg.resolved_encoder_blocks(cfg.enc_depth)
+        assert calls == [f"adapter.enc{i}" for i in range(first, cfg.enc_depth)]
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +161,35 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")
         assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
+
+    def test_zero_heads_paramcount_is_one_without_traceback(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"model": {"enc_heads": 0}}))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-m", "segadapt.cli", "paramcount", "--config", str(config)],
+            capture_output=True, text=True, env=env,
+        )
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr
+        assert "error:" in out.stderr
+
+    def test_negative_source_seed_gen_data_is_one(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"data": {"source": {"seed": -1}}}))
+        assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "d")]) == 1
+        assert "seed" in capsys.readouterr().err
+
+    def test_negative_eval_seed_is_one(self, env, capsys):
+        code = main(
+            [
+                "eval", "--checkpoint", env["checkpoint"], "--data", env["data"],
+                "--domain", "source", "--seed", "-1",
+            ]
+        )
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -137,6 +137,30 @@ class TestSettingValidation:
         with pytest.raises(ValidationError, match="must be"):
             config_from_dict(patch)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # Zero sizes used to reach a `%` or a division before any check.
+            {"model": {"enc_heads": 0}},
+            {"model": {"dec_heads": 0}},
+            {"model": {"patch_size": 0}},
+            {"model": {"enc_dim": 0}},
+            {"model": {"dec_dim": 0}},
+            {"model": {"enc_dim": -4}},
+            # Negative seeds used to escape later from np.random.SeedSequence.
+            {"model": {"seed": -1}},
+            {"data": {"source": {"seed": -1}}},
+            {"data": {"target": {"seed": -1}}},
+            {"train": {"seed": -1}},
+            {"ttda": {"seed": -1}},
+        ],
+    )
+    def test_bad_sizes_and_seeds_rejected_on_load(self, doc, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError):
+            load_config(path)
+
     def test_int_accepted_where_float_expected(self):
         cfg = config_from_dict({"train": {"lr": 1}, "lora": {"alpha": 8}})
         assert cfg.train.lr == 1
