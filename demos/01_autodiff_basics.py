@@ -10,6 +10,7 @@ from segadapt import (
     adamw_step,
     backward,
     finite_diff_check,
+    linear,
     matmul,
 )
 
@@ -34,9 +35,7 @@ data = np.random.default_rng(1).normal(size=(5, 3))
 
 
 def objective():
-    from segadapt import add_bias
-
-    h = add_bias(matmul(Tensor(data), reg.get("w")), reg.get("b"))
+    h = linear(Tensor(data), reg.get("w"), reg.get("b"))  # data @ w + b as one tape node
     return (h * h).sum()
 
 

@@ -21,7 +21,7 @@ from typing import Callable
 from .errors import ContractError, ValidationError
 from .model import SegmentationModel
 from .params import Init, ParameterRegistry
-from .tensor import Tensor, add_bias, attention
+from .tensor import Tensor, attention, linear
 
 METHODS = ("full_ft", "decoder_ft", "lora", "sam_da_dec", "sam_da_enc")
 
@@ -102,18 +102,18 @@ def adapter_attention(tokens: Tensor, registry: ParameterRegistry, scope: str) -
     """Embeddings attend over the prompt bank; scores divided by sqrt(value dim)."""
     g = registry.get
     prompts = g(f"{scope}.prompts")
-    q = add_bias(tokens @ g(f"{scope}.query.weight"), g(f"{scope}.query.bias"))
+    q = linear(tokens, g(f"{scope}.query.weight"), g(f"{scope}.query.bias"))
     k = prompts @ g(f"{scope}.key.weight")
-    v = add_bias(prompts @ g(f"{scope}.value.weight"), g(f"{scope}.value.bias"))
+    v = linear(prompts, g(f"{scope}.value.weight"), g(f"{scope}.value.bias"))
     scale = 1.0 / math.sqrt(v.shape[1])
-    return add_bias(attention(q, k, v, 1, scale) @ g(f"{scope}.proj.weight"), g(f"{scope}.proj.bias"))
+    return linear(attention(q, k, v, 1, scale), g(f"{scope}.proj.weight"), g(f"{scope}.proj.bias"))
 
 
 def adapter_apply(tokens: Tensor, registry: ParameterRegistry, scope: str) -> Tensor:
     """Gated correction then output projection: post(tokens + gate * attention)."""
     g = registry.get
     corrected = tokens + adapter_attention(tokens, registry, scope) * g(f"{scope}.gate")
-    return add_bias(corrected @ g(f"{scope}.post.weight"), g(f"{scope}.post.bias"))
+    return linear(corrected, g(f"{scope}.post.weight"), g(f"{scope}.post.bias"))
 
 
 def attach_decoder_adapter(model: SegmentationModel, cfg: AdapterConfig, seed: int = 0) -> None:
@@ -123,6 +123,8 @@ def attach_decoder_adapter(model: SegmentationModel, cfg: AdapterConfig, seed: i
         raise ValidationError(f"decoder attachment requires placement 'decoder', got {cfg.placement!r}")
     if model.dense_hook is not None:
         raise ContractError("model already has a dense hook")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     reg = model.registry
     for i in range(model.cfg.dec_depth):
         declare_adapter_layer(reg, f"adapter.dec{i}", model.cfg.dec_dim, cfg)
@@ -138,6 +140,8 @@ def attach_encoder_adapter(model: SegmentationModel, cfg: AdapterConfig, seed: i
         raise ValidationError(f"encoder attachment requires placement 'encoder', got {cfg.placement!r}")
     if model.encoder_hook is not None:
         raise ContractError("model already has an encoder hook")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     depth = model.cfg.enc_depth
     first = depth - cfg.resolved_encoder_blocks(depth)
     reg = model.registry
@@ -153,6 +157,8 @@ def attach_lora(model: SegmentationModel, cfg: LoraConfig, seed: int = 0) -> Non
     cfg.validate()
     if model.lora_deltas:
         raise ContractError("model already has LoRA deltas")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     dim = model.cfg.enc_dim
     if cfg.rank > dim:
         raise ValidationError(f"rank {cfg.rank} exceeds projection dim {dim}")

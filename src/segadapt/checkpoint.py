@@ -147,13 +147,14 @@ def restore(registry: ParameterRegistry, source, strict: bool = True) -> None:
             raise ContractError(
                 f"checkpoint/registry mismatch: missing {missing[:4]}, unknown {unknown[:4]}"
             )
-    for name in names:
-        if name not in values:
-            continue
-        tensor = registry.get(name)
-        if values[name].shape != tensor.shape:
+    # Every check comes before the first write, so a refused restore changes nothing.
+    present = [n for n in names if n in values]
+    for name in present:
+        if values[name].shape != registry.get(name).shape:
             raise ContractError(
-                f"shape mismatch for {name!r}: checkpoint {values[name].shape}, registry {tensor.shape}"
+                f"shape mismatch for {name!r}: checkpoint {values[name].shape}, "
+                f"registry {registry.get(name).shape}"
             )
+    for name in present:
         data = values[name].astype(registry.dtype)
-        tensor.data = np.ascontiguousarray(data).reshape(data.shape)
+        registry.get(name).data = np.ascontiguousarray(data).reshape(data.shape)

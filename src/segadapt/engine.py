@@ -54,7 +54,6 @@ _PROMPT_TAG = 0x70726F6D
 _SHUFFLE_TAG = 0x73687566
 
 META_VERSION = 1
-BASE_SEED = 100
 METHOD_SEEDS = (0, 1, 2, 3)
 
 # Mean confident-pixel entropy below this many nats means the confident set

@@ -21,11 +21,11 @@ from .losses import mask_from_logits
 from .params import Init, ParameterRegistry
 from .tensor import (
     Tensor,
-    add_bias,
     attention,
     concat,
     gather_rows,
     layer_norm,
+    linear,
     no_grad,
 )
 
@@ -214,12 +214,9 @@ class SegmentationModel:
     # -- building blocks ---------------------------------------------------------
 
     def _proj(self, name: str, x: Tensor) -> Tensor:
-        y = x @ self.registry.get(f"{name}.weight")
-        delta = self.lora_deltas.get(name)
-        if delta is not None:
-            down, up, scale = delta
-            y = y + ((x @ down) @ up) * scale
-        return add_bias(y, self.registry.get(f"{name}.bias"))
+        lora = self.lora_deltas.get(name)
+        delta = None if lora is None else ((x @ lora[0]) @ lora[1]) * lora[2]
+        return linear(x, self.registry.get(f"{name}.weight"), self.registry.get(f"{name}.bias"), delta)
 
     def _attention(self, prefix: str, heads: int, q_in: Tensor, k_in: Tensor, v_in: Tensor) -> Tensor:
         q = self._proj(f"{prefix}.query", q_in)
@@ -232,14 +229,11 @@ class SegmentationModel:
         return layer_norm(x, self.registry.get(f"{prefix}.gain"), self.registry.get(f"{prefix}.bias"))
 
     def _mlp(self, prefix: str, x: Tensor) -> Tensor:
-        h = add_bias(x @ self.registry.get(f"{prefix}.fc1.weight"), self.registry.get(f"{prefix}.fc1.bias"))
-        return add_bias(h.gelu() @ self.registry.get(f"{prefix}.fc2.weight"), self.registry.get(f"{prefix}.fc2.bias"))
+        return self._proj(f"{prefix}.fc2", self._proj(f"{prefix}.fc1", x).gelu())
 
     def _head_mlp(self, prefix: str, x: Tensor) -> Tensor:
-        reg = self.registry
-        h = add_bias(x @ reg.get(f"{prefix}.fc1.weight"), reg.get(f"{prefix}.fc1.bias")).relu()
-        h = add_bias(h @ reg.get(f"{prefix}.fc2.weight"), reg.get(f"{prefix}.fc2.bias")).relu()
-        return add_bias(h @ reg.get(f"{prefix}.fc3.weight"), reg.get(f"{prefix}.fc3.bias"))
+        h = self._proj(f"{prefix}.fc1", x).relu()
+        return self._proj(f"{prefix}.fc3", self._proj(f"{prefix}.fc2", h).relu())
 
     # -- encoder -------------------------------------------------------------------
 
@@ -258,11 +252,7 @@ class SegmentationModel:
             .transpose(0, 2, 1, 3)
             .reshape(cfg.num_patches, p * p)
         )
-        x = add_bias(
-            Tensor(patches) @ self.registry.get("encoder.patch_embed.weight"),
-            self.registry.get("encoder.patch_embed.bias"),
-        )
-        return x + self.registry.get("encoder.pos_embed")
+        return self._proj("encoder.patch_embed", Tensor(patches)) + self.registry.get("encoder.pos_embed")
 
     def encode_image(self, image: np.ndarray) -> Tensor:
         """The image's embedding grid, [num_patches, dec_dim]."""
@@ -275,9 +265,7 @@ class SegmentationModel:
             x = x + self._mlp(f"{p}.mlp", self._norm(f"{p}.norm2", x))
             if self.encoder_hook is not None:
                 x = self.encoder_hook(x, i)
-        return add_bias(
-            x @ self.registry.get("encoder.neck.weight"), self.registry.get("encoder.neck.bias")
-        )
+        return self._proj("encoder.neck", x)
 
     # -- prompts ---------------------------------------------------------------------
 
@@ -332,7 +320,6 @@ class SegmentationModel:
     def decode(self, state: DecoderState) -> ForwardResult:
         """Continue from ``state``, the one ``decoder_prefix`` returned."""
         cfg = self.cfg
-        reg = self.registry
         for layer in range(cfg.dec_depth):
             if layer:
                 state = self.twoway_layer(state, layer)
@@ -343,7 +330,7 @@ class SegmentationModel:
         h = w = cfg.grid_size
         for s in range(cfg.upsample_stages):
             c = feat.shape[1]
-            feat = add_bias(feat @ reg.get(f"decoder.upsample{s}.weight"), reg.get(f"decoder.upsample{s}.bias"))
+            feat = self._proj(f"decoder.upsample{s}", feat)
             # each token expands into a 2x2 spatial block with half the channels
             feat = (
                 feat.reshape(h, w, 2, 2, c // 2)

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, ValidationError
 from .tensor import Tensor
 
 
@@ -94,6 +94,8 @@ class ParameterRegistry:
         Values are drawn in float64 and cast to the registry dtype so the two
         precisions see the same numbers (up to rounding).
         """
+        if seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {seed}")
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         names = sorted(self._params) if only is None else sorted(set(only))
         for name in names:
@@ -105,9 +107,6 @@ class ParameterRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def get(self, name: str) -> Tensor:
         try:

@@ -10,7 +10,7 @@ require one, such as a frozen weight or a constant.
 
 Broadcasting is deliberately restricted: binary elementwise operations accept
 equal shapes or a scalar (0-d) operand, nothing else.  The few structured
-patterns the models need are dedicated primitives (``add_bias``,
+patterns the models need are dedicated primitives (the affine ``linear``,
 ``gather_rows``, batched 3-d ``matmul``, multi-head ``attention``) so shape
 errors stay loud.
 """
@@ -417,18 +417,30 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return _node(out, ts, grad_fn)
 
 
-def add_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Affine bias: [n,d] + [d] broadcast over rows (the only row broadcast)."""
-    if x.data.ndim != 2 or bias.data.ndim != 1 or x.shape[1] != bias.shape[0]:
-        raise DimensionError(f"add_bias: x {x.shape} vs bias {bias.shape}")
-    if x.data.dtype != bias.data.dtype:
-        raise ContractError(f"add_bias: mixed dtypes {x.data.dtype} and {bias.data.dtype}")
-    out = x.data + bias.data[None, :]
+def linear(x: Tensor, weight: Tensor, bias: Tensor, delta: Tensor | None = None) -> Tensor:
+    """``x @ weight + delta + bias`` as one tape node: x [n, k], weight [k, d],
+    bias [d] broadcast over rows (the only row broadcast), the optional delta
+    [n, d] a LoRA term, say.  Forward and backward run the numpy operations of
+    the matmul / add / bias-add chain of nodes, so every bit matches that chain."""
+    parents = (x, weight, bias) if delta is None else (x, weight, bias, delta)
+    if x.data.ndim != 2 or bias.data.ndim != 1 or weight.shape != x.shape[1:] + bias.shape or (
+        delta is not None and delta.shape != x.shape[:1] + bias.shape
+    ):
+        raise DimensionError(f"linear: shapes {[p.shape for p in parents]} do not align")
+    if len({p.data.dtype for p in parents}) > 1:
+        raise ContractError(f"linear: mixed dtypes {[p.data.dtype.name for p in parents]}")
+    out = x.data @ weight.data
+    if delta is not None:
+        out += delta.data
+    out += bias.data
 
     def grad_fn(g):
-        return (g if x.requires_grad else None), (g.sum(axis=0) if bias.requires_grad else None)
+        gx = g @ weight.data.T if x.requires_grad else None
+        gw = x.data.T @ g if weight.requires_grad else None
+        gb = g.sum(axis=0) if bias.requires_grad else None
+        return (gx, gw, gb) if delta is None else (gx, gw, gb, g if delta.requires_grad else None)
 
-    return _node(out, (x, bias), grad_fn)
+    return _node(out, parents, grad_fn)
 
 
 # -- reductions --------------------------------------------------------------

@@ -20,6 +20,12 @@ def criterion():
     return record
 
 
+@pytest.fixture(scope="session")
+def summary_line():
+    """Append one line, as given, to the summary block."""
+    return _LINES.append
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if _LINES:
         terminalreporter.section("acceptance criteria")

@@ -109,6 +109,28 @@ def _budget(minutes: float, *stages: str) -> tuple[bool, str]:
     return spent < minutes * 60, f"{spent:.0f}s of {minutes:.0f}min budget"
 
 
+def _stage_group(stage: str) -> str:
+    """'train.<method>.<seed>' -> the method, 'eval.*' -> evals, 'gen_*' -> data."""
+    kind, _, rest = stage.partition(".")
+    if kind == "train":
+        return rest.partition(".")[0]
+    return {"eval": "evals", "gen_data": "data", "gen_pretrain": "data"}.get(kind, kind)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def stage_seconds_line(summary_line):
+    """After the gate, one summary line with where its time went: stage
+    seconds summed per group (data, base, each method's runs, evals, ttda)."""
+    yield
+    groups: dict[str, float] = {}
+    for stage, seconds in _stage_seconds.items():
+        group = _stage_group(stage)
+        groups[group] = groups.get(group, 0.0) + seconds
+    if groups:
+        parts = [f"{group} {seconds:.0f}" for group, seconds in groups.items()]
+        summary_line(f"stage seconds: {', '.join(parts)}; total {sum(groups.values()):.0f}")
+
+
 @pytest.fixture(scope="module")
 def roots(tmp_path_factory):
     return tmp_path_factory.mktemp("acceptance")

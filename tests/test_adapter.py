@@ -22,6 +22,8 @@ from segadapt.adapter import (
     lora_param_count,
     trainable_predicate,
 )
+from segadapt.checkpoint import dump_bytes
+from segadapt.engine import attach_method
 from segadapt.errors import ContractError, ValidationError
 from segadapt.gradcheck import finite_diff_check
 from segadapt.losses import dice_loss
@@ -323,6 +325,24 @@ def _attach_encoder(model):
     attach_encoder_adapter(model, replace(TOY_ADAPTER, placement="encoder"))
 
 
+def _assert_refusal_changes_nothing(model, call, error):
+    """``call(model)`` raises ``error`` and leaves the registry's names, values
+    and trainability, the hooks and the LoRA deltas as they were."""
+    names = model.registry.names()
+    trainable = [model.registry.param(n).trainable for n in names]
+    values = dump_bytes(model.registry)
+    dense_hook, encoder_hook = model.dense_hook, model.encoder_hook
+    deltas = dict(model.lora_deltas)
+    with pytest.raises(error):
+        call(model)
+    assert model.registry.names() == names
+    assert [model.registry.param(n).trainable for n in names] == trainable
+    assert dump_bytes(model.registry) == values
+    assert model.dense_hook is dense_hook and model.encoder_hook is encoder_hook
+    assert model.lora_deltas.keys() == deltas.keys()
+    assert all(model.lora_deltas[k] is v for k, v in deltas.items())
+
+
 class TestSecondAttachment:
     @pytest.mark.parametrize(
         "first, second",
@@ -339,17 +359,24 @@ class TestSecondAttachment:
     def test_refused_second_attachment_changes_nothing(self, first, second):
         model = tiny_model()
         first(model)
-        names = model.registry.names()
-        trainable = [model.registry.param(n).trainable for n in names]
-        dense_hook, encoder_hook = model.dense_hook, model.encoder_hook
-        deltas = dict(model.lora_deltas)
-        with pytest.raises(ContractError):
-            second(model)
-        assert model.registry.names() == names
-        assert [model.registry.param(n).trainable for n in names] == trainable
-        assert model.dense_hook is dense_hook and model.encoder_hook is encoder_hook
-        assert model.lora_deltas.keys() == deltas.keys()
-        assert all(model.lora_deltas[k] is v for k, v in deltas.items())
+        _assert_refusal_changes_nothing(model, second, ContractError)
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize(
+        "attach",
+        [
+            lambda m: attach_decoder_adapter(m, TOY_ADAPTER, seed=-1),
+            lambda m: attach_encoder_adapter(m, replace(TOY_ADAPTER, placement="encoder"), seed=-1),
+            lambda m: attach_lora(m, LoraConfig(), seed=-1),
+            lambda m: attach_method(m, "sam_da_dec", TOY_ADAPTER, None, seed=-1),
+            lambda m: attach_method(m, "sam_da_enc", TOY_ADAPTER, None, seed=-1),
+            lambda m: attach_method(m, "lora", None, LoraConfig(), seed=-1),
+        ],
+        ids=["decoder", "encoder", "lora", "method-sam_da_dec", "method-sam_da_enc", "method-lora"],
+    )
+    def test_negative_seed_refused_before_any_parameter_is_added(self, attach):
+        _assert_refusal_changes_nothing(tiny_model(), attach, ValidationError)
 
 
 class TestParamCount:

@@ -122,6 +122,21 @@ class TestCheckpointFormat:
         with pytest.raises(ContractError):
             ckpt.restore(other, blob, strict=False)
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_refused_restore_writes_nothing(self, strict):
+        # The last name in sorted order has the wrong shape: every other
+        # parameter would be written first if restore checked as it wrote.
+        reg = build_registry()
+        values = ckpt.load_bytes(ckpt.dump_bytes(build_registry()))
+        for name in values:
+            values[name] = values[name] + 1.0
+        last = reg.names()[-1]
+        values[last] = np.zeros((2, 4), dtype=np.float32)
+        before = ckpt.dump_bytes(reg)
+        with pytest.raises(ContractError, match=f"shape mismatch for {last!r}"):
+            ckpt.restore(reg, values, strict=strict)
+        assert ckpt.dump_bytes(reg) == before
+
 
 # -- the per-parameter byte audit -------------------------------------------------------
 

@@ -20,14 +20,15 @@ class TestFiniteDiffCheck:
 
     def test_nonlinear_composite_below_tolerance(self):
         reg = ParameterRegistry(dtype=np.float64)
-        reg.add("w", (4, 3), Init.normal(0.5))
+        reg.add("x", (4, 2), Init.normal(0.5))
+        reg.add("w", (2, 3), Init.normal(0.5))
         reg.add("b", (3,), Init.normal(0.5))
         reg.initialize(seed=4)
 
         def f():
-            from segadapt.tensor import add_bias
+            from segadapt.tensor import linear
 
-            h = add_bias(reg.get("w"), reg.get("b")).gelu()
+            h = linear(reg.get("x"), reg.get("w"), reg.get("b")).gelu()
             return (h.softmax(axis=1) * h.sigmoid()).sum()
 
         assert finite_diff_check(f, reg, eps=1e-5) <= 1e-6

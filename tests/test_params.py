@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from segadapt import AdamWState, Init, ParameterRegistry, adamw_step, backward
-from segadapt.checkpoint import restore
+from segadapt.checkpoint import dump_bytes, restore
 from segadapt.config import default_config
 from segadapt.engine import attach_method
-from segadapt.errors import ContractError
+from segadapt.errors import ContractError, ValidationError
 from segadapt.model import SegmentationModel
 from segadapt.params import BUCKET_ELEMENTS
 
@@ -46,6 +46,13 @@ class TestRegistry:
         b = make_registry(["alpha.weight", "beta.bias", "gamma.embed"])
         b.initialize(seed=124)
         assert not np.array_equal(a.get("alpha.weight").data, b.get("alpha.weight").data)
+
+    def test_negative_seed_rejected_before_any_write(self):
+        reg = make_registry(["alpha.weight", "beta.bias", "gamma.embed"])
+        before = dump_bytes(reg)
+        with pytest.raises(ValidationError, match="seed"):
+            reg.initialize(seed=-1)
+        assert dump_bytes(reg) == before
 
     def test_identity_init(self):
         reg = ParameterRegistry()

@@ -17,10 +17,10 @@ from segadapt.model import ModelConfig, PromptSet, SegmentationModel
 from segadapt.tensor import (
     LOG_CLAMP,
     _mean,
-    add_bias,
     attention,
     gather_rows,
     layer_norm,
+    linear,
     matmul,
     softmax,
 )
@@ -308,6 +308,9 @@ class TestAttention:
     def test_predict_records_one_node_per_attention(self, monkeypatch):
         # 6 encoder blocks, 3 attentions in each of 2 decoder layers and 2
         # adapters; the only permutes left are the 3 upsampling stages'.
+        # Every affine layer is one linear node: 75 in the model (6 per
+        # encoder block, 14 per decoder layer, patch embed, neck, 3 upsampling
+        # stages, 6 in the heads) and 4 per adapter, whose key stays a matmul.
         ops = Counter()
         real_node = tensor._node
 
@@ -322,6 +325,144 @@ class TestAttention:
         assert ops["attention"] == 14
         assert ops["permute"] == 3
         assert ops["softmax"] == 0
+        assert ops["linear"] == 83
+        assert ops["matmul"] == 3  # the adapters' keys and the mask product
+        assert sum(ops.values()) == 175
+
+
+def add_bias(x, bias):
+    """The bias node ``linear`` replaced, as the package had it: the reference."""
+    out = x.data + bias.data[None, :]
+
+    def grad_fn(g):
+        return (g if x.requires_grad else None), (g.sum(axis=0) if bias.requires_grad else None)
+
+    return tensor._node(out, (x, bias), grad_fn)
+
+
+def _chain_linear(x, weight, bias, delta=None):
+    """The matmul / add / bias chain of separate nodes that ``linear`` replaces."""
+    y = x @ weight
+    return add_bias(y if delta is None else y + delta, bias)
+
+
+def _linear_run(op, leaves, build):
+    """Forward bytes and every leaf's .grad bytes of ``build(op, leaves)``
+    under a fixed loss."""
+    leaves = {name: Tensor(data, requires_grad=grad) for name, (data, grad) in leaves.items()}
+    out = build(op, leaves)
+    w = Tensor(np.random.default_rng(9).standard_normal(out.shape).astype(np.float32))
+    loss = (out * out * w).sum()
+    if loss.requires_grad:
+        backward(loss)
+    grads = {n: None if t.grad is None else t.grad.tobytes() for n, t in leaves.items()}
+    return out.data.dtype, out.data.tobytes(), grads
+
+
+_LINEAR_MASKS = [(m, False) for m in itertools.product([False, True], repeat=3)] + [
+    (m, True) for m in itertools.product([False, True], repeat=4)
+]
+
+
+class TestLinear:
+    @pytest.mark.parametrize("mask, with_delta", _LINEAR_MASKS)
+    def test_bit_identical_to_the_chain(self, mask, with_delta):
+        rng = np.random.default_rng(50)
+        shapes = {"x": (5, 7), "w": (7, 6), "b": (6,), "d": (5, 6)}
+        leaves = {
+            n: (rng.standard_normal(shape).astype(np.float32), grad)
+            for (n, shape), grad in zip(shapes.items(), mask)
+        }
+
+        def build(op, t):
+            return op(t["x"], t["w"], t["b"], t["d"] if with_delta else None)
+
+        fused = _linear_run(linear, leaves, build)
+        assert fused == _linear_run(_chain_linear, leaves, build)
+        assert fused[0] == np.float32
+        assert [g is not None for g in fused[2].values()] == list(mask)
+
+    @pytest.mark.parametrize("lora", [False, True])
+    def test_bit_identical_with_projections_of_a_shared_input(self, lora):
+        # q, k and v are projected from one input, as in self-attention, and
+        # with ``lora`` q and v carry a low-rank delta of that same input,
+        # so three or five flows sum into it in the chain's order.
+        rng = np.random.default_rng(60)
+        f32 = lambda *shape: rng.standard_normal(shape).astype(np.float32)  # noqa: E731
+        leaves = {"x": (f32(5, 8), True)}
+        for p in "qkv":
+            leaves.update({f"w{p}": (f32(8, 8), True), f"b{p}": (f32(8), True)})
+            leaves.update({f"down{p}": (f32(8, 2), True), f"up{p}": (f32(2, 8), True)})
+
+        def build(op, t):
+            x = t["x"]
+
+            def proj(p, delta):
+                d = ((x @ t[f"down{p}"]) @ t[f"up{p}"]) * 0.5 if delta else None
+                return op(x, t[f"w{p}"], t[f"b{p}"], d)
+
+            return attention(proj("q", lora), proj("k", False), proj("v", lora), 2, 0.5)
+
+        fused = _linear_run(linear, leaves, build)
+        assert fused == _linear_run(_chain_linear, leaves, build)
+        assert (fused[2]["downq"] is not None) == lora and fused[2]["downk"] is None
+
+    @pytest.mark.parametrize("with_delta", [False, True])
+    def test_gradcheck(self, with_delta):
+        reg = ParameterRegistry(dtype=np.float64)
+        for name, shape in [("x", (3, 4)), ("w", (4, 5)), ("b", (5,)), ("d", (3, 5))]:
+            reg.add(name, shape, Init.normal(1.0))
+        reg.initialize(seed=12)
+
+        def f():
+            delta = reg.get("d") * reg.get("d") if with_delta else None
+            out = linear(reg.get("x"), reg.get("w"), reg.get("b"), delta)
+            return (out * out).sum()
+
+        assert finite_diff_check(f, reg, eps=1e-5) <= 1e-6
+
+    def test_grads(self):
+        x = Tensor(np.ones((3, 2)), requires_grad=True, dtype=np.float64)
+        w = Tensor(np.array([[1.0, 0.0], [2.0, 3.0]]), requires_grad=True, dtype=np.float64)
+        b = Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=np.float64)
+        out = linear(x, w, b)
+        np.testing.assert_allclose(out.data, np.tile([4.0, 5.0], (3, 1)))
+        backward(out.sum())
+        np.testing.assert_allclose(x.grad, np.tile([1.0, 5.0], (3, 1)))
+        np.testing.assert_allclose(w.grad, np.full((2, 2), 3.0))
+        np.testing.assert_allclose(b.grad, [3.0, 3.0])
+
+    def test_closure_skips_inputs_that_need_no_gradient(self):
+        rng = np.random.default_rng(13)
+        const, square = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((4, 4)))
+        w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        bias = Tensor(np.zeros(4))
+        for out, needed in [
+            (linear(const, w, bias), (False, True, False)),
+            (linear(const @ w, square, bias), (True, False, False)),
+            (linear(const, square, w[0]), (False, False, True)),
+            (linear(const, square, bias, const @ w), (False, False, False, True)),
+            (linear(const @ w, w, bias, const), (True, True, False, False)),
+        ]:
+            grads = out._grad_fn(np.ones(out.shape, dtype=np.float32))
+            assert tuple(pg is not None for pg in grads) == needed
+
+    def test_shape_and_dtype_errors(self):
+        x = Tensor(np.ones((3, 2)), dtype=np.float32)
+        w, b = Tensor(np.ones((2, 4)), dtype=np.float32), Tensor(np.ones(4), dtype=np.float32)
+        for args in [
+            (x, Tensor(np.ones((3, 4)), dtype=np.float32), b),  # inner extents differ
+            (x, w, Tensor(np.ones(3), dtype=np.float32)),  # bias width
+            (x, w, Tensor(np.ones((1, 4)), dtype=np.float32)),  # bias rank
+            (Tensor(np.ones(2), dtype=np.float32), w, b),  # x rank
+            (x, w, b, Tensor(np.ones((2, 4)), dtype=np.float32)),  # delta rows
+        ]:
+            with pytest.raises(DimensionError):
+                linear(*args)
+        with pytest.raises(ContractError):
+            linear(x, w, Tensor(np.ones(4), dtype=np.float64))
+        with pytest.raises(ContractError):
+            linear(x, w, b, Tensor(np.ones((3, 4)), dtype=np.float64))
 
 
 class TestLayerNorm:
@@ -401,17 +542,6 @@ class TestShapeOps:
         with pytest.raises(DimensionError):
             gather_rows(Tensor(np.ones((2, 2))), [3])
 
-    def test_add_bias_grads(self):
-        x = Tensor(np.ones((3, 2)), requires_grad=True, dtype=np.float64)
-        b = Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=np.float64)
-        backward(add_bias(x, b).sum())
-        np.testing.assert_allclose(x.grad, np.ones((3, 2)))
-        np.testing.assert_allclose(b.grad, [3.0, 3.0])
-
-    def test_add_bias_shape_check(self):
-        with pytest.raises(DimensionError):
-            add_bias(Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
-
     def test_reductions_match_numpy(self):
         rng = np.random.default_rng(19)
         x = rng.standard_normal((4, 5))
@@ -490,7 +620,7 @@ class TestBackward:
         x = Tensor(np.ones((2, 3)))  # a constant input
         w = Tensor(np.full((3, 2), 0.5), requires_grad=True)
         frozen = Tensor(np.full((2,), 2.0))  # a weight that does not train
-        h = add_bias(x @ w, frozen)
+        h = linear(x, w, frozen)
         backward((h * h).sum())
         assert w.grad is not None
         assert h.grad is None and frozen.grad is None and x.grad is None
@@ -503,7 +633,7 @@ class TestBackward:
         bias = Tensor(np.zeros(4))
         for out, needed in [
             (const @ w, (False, True)),
-            (add_bias(const @ w, bias), (True, False)),
+            (linear(const, w, bias), (False, True, False)),
             (layer_norm(const @ w, gain, bias), (True, True, False)),
             (const * (const @ w), (False, True)),
             (const / (const @ w), (False, True)),
