@@ -48,7 +48,7 @@ from .losses import (
 from .model import DecoderState, ModelConfig, PromptSet, SegmentationModel
 from .params import AdamWState, adamw_step
 from .stats import paired_t_test
-from .tensor import Tensor, backward, no_grad
+from .tensor import Tensor, backward, grad_enabled, no_grad
 
 _PROMPT_TAG = 0x70726F6D
 _SHUFFLE_TAG = 0x73687566
@@ -115,20 +115,6 @@ class EvalResult:
         return cls(per_image=[float(v) for v in scores], mean=float(arr.mean()), std=float(arr.std()))
 
 
-def evaluate_with_predictor(
-    predict: Callable[[Sample, PromptSet], object],
-    samples: Sequence[Sample],
-    seed: int,
-) -> EvalResult:
-    """IoU of binarized predictions against ground truth, one click per image."""
-    scores = []
-    for s in samples:
-        prompts = interior_prompt(s.mask, prompt_rng(seed, s.volume_id, s.slice_index))
-        pred = predict(s, prompts)
-        scores.append(compute_iou(pred.mask, s.mask))
-    return EvalResult.from_scores(scores)
-
-
 Inputs = Callable[[Sample, PromptSet], tuple[Tensor | None, DecoderState | None]]
 
 
@@ -138,55 +124,55 @@ def evaluate_model(
     seed: int,
     inputs: Inputs | None = None,
 ) -> EvalResult:
-    """Evaluate the model; ``inputs`` supplies what each forward may reuse
-    (by default every image and prompt is encoded)."""
-    inputs = inputs or (lambda s, p: (None, None))
-    return evaluate_with_predictor(lambda s, p: model.predict(s.image, p, *inputs(s, p)), samples, seed)
-
-
-def _off_tape(tensor: Tensor, what: str, s: Sample) -> None:
-    if tensor.requires_grad or tensor._grad_fn is not None:
-        raise ContractError(
-            f"memoized {what} of sample (volume {s.volume_id}, slice {s.slice_index}) "
-            f"is on the autodiff tape"
-        )
+    """IoU of binarized predictions against ground truth, one click per image;
+    ``inputs`` supplies what each forward may reuse (by default every image
+    and prompt is encoded)."""
+    scores = []
+    for s in samples:
+        prompts = interior_prompt(s.mask, prompt_rng(seed, s.volume_id, s.slice_index))
+        reused = inputs(s, prompts) if inputs is not None else ()
+        scores.append(compute_iou(model.predict(s.image, prompts, *reused).mask, s.mask))
+    return EvalResult.from_scores(scores)
 
 
 def _frozen_inputs(model: SegmentationModel) -> Inputs:
     """``inputs(sample, prompts)``: the (image embedding, decoder prefix) pair
-    a forward of that sample and prompt set may reuse within one stage call.
+    a forward of that sample and prompt set may use within one stage call.
 
-    While ``model.encoder_frozen()`` holds, the embedding of each (loaded
-    Sample object, PromptSet) is computed once and reused (SAM's split: the
-    heavy image encoder once per image, the prompt encoder and decoder once
-    per prompt); while ``model.decoder_prefix_frozen()`` also holds, so is the
-    decoder's state after layer 0.  The caller must not change weights those
-    rules cover while it uses the helper.  Parts whose rule does not hold
-    come back None and are computed by the forward.
+    The tape decides what is kept.  Recorded with the tape on, a result that
+    comes back off it (no ``requires_grad``) was fed by no trainable
+    parameter, hook or LoRA delta, so it stays valid while the caller trains.
+    An off-tape embedding is kept per (loaded Sample object, PromptSet) --
+    SAM's split: the heavy image encoder once per image, the prompt encoder
+    and decoder once per prompt -- and so is the decoder's state after layer
+    0 when that is off the tape too.  Under ``no_grad`` every result is off
+    the tape, so nothing is kept.  Once an embedding comes back on the tape,
+    something that feeds the encoder trains, so no later one can be kept and
+    each forward encodes for itself (a validation pass then records no
+    tape).  The caller must not change frozen weights, or which weights
+    train, while it uses the helper.
     """
-    if not model.encoder_frozen():
-        return lambda s, p: (None, None)
-    keep_prefix = model.decoder_prefix_frozen()
     # Keyed on object identity; each entry keeps its sample alive so the id
     # cannot be reused by another object.  A stage call gives each sample one
     # seeded prompt set, so each image is still encoded once.
     memo: dict[tuple[int, PromptSet], tuple[Sample, Tensor, DecoderState | None]] = {}
+    taped = False
 
     def inputs(s: Sample, prompts: PromptSet):
+        nonlocal taped
         hit = memo.get((id(s), prompts))
-        if hit is None:
-            embedding = model.encode_image(s.image)
-            _off_tape(embedding, "embedding", s)
-            prefix = None
-            if keep_prefix:
-                # Recorded with the caller's tape setting: while the rule holds
-                # no input needs a gradient, so the tape records nothing; a rule
-                # that holds wrongly leaves the prefix on the tape and is refused.
-                prefix = model.decoder_prefix(embedding, model.encode_prompts(prompts))
-                _off_tape(prefix.tokens, "decoder prefix", s)
-                _off_tape(prefix.dense, "decoder prefix", s)
-            hit = memo[id(s), prompts] = (s, embedding, prefix)
-        return hit[1], hit[2]
+        if hit is not None:
+            return hit[1], hit[2]
+        if taped or not grad_enabled():
+            return None, None  # the forward encodes under the caller's tape setting
+        embedding = model.encode_image(s.image)
+        if embedding.requires_grad:
+            taped = True
+            return embedding, None
+        prefix = model.decoder_prefix(embedding, model.encode_prompts(prompts))
+        frozen = not (prefix.tokens.requires_grad or prefix.dense.requires_grad)
+        memo[id(s), prompts] = (s, embedding, prefix if frozen else None)
+        return embedding, prefix
 
     return inputs
 
@@ -431,7 +417,7 @@ def _unadapted(
     """A slice's prompts, logits and pooled dense embedding under the weights
     the model holds; ``run_ttda`` calls it only while those are the reference."""
     prompts = interior_prompt(s.mask, prompt_rng(seed, s.volume_id, s.slice_index))
-    reused = inputs(s, prompts)  # with the tape on, so the memo's tape check applies
+    reused = inputs(s, prompts)  # with the tape on, so the memo keeps what is off it
     with no_grad():
         out = model.forward(s.image, prompts, *reused)
     return prompts, out.logits, out.dense.data.mean(axis=0)

@@ -346,37 +346,6 @@ class SegmentationModel:
 
     # -- entry points ----------------------------------------------------------------------
 
-    def encoder_frozen(self) -> bool:
-        """Whether nothing that feeds ``encode_image`` can train.
-
-        True when no ``encoder.*`` parameter is trainable, no encoder hook is
-        attached and every LoRA delta tensor is frozen.  An image's embedding
-        is then a constant of the weights the caller holds fixed, so it may
-        be computed once and reused by every later forward of that image.
-        """
-        encoder_trainable = any(
-            p.trainable for p in self.registry.parameters() if p.name.startswith("encoder.")
-        )
-        lora_trainable = any(
-            t.requires_grad for down, up, _ in self.lora_deltas.values() for t in (down, up)
-        )
-        return not encoder_trainable and self.encoder_hook is None and not lora_trainable
-
-    def decoder_prefix_frozen(self) -> bool:
-        """Whether nothing that feeds ``decoder_prefix`` can train.
-
-        True when ``encoder_frozen()`` holds and no parameter read before the
-        first dense hook -- the prompt label embedding, the mask and IoU
-        tokens, decoder layer 0 -- is trainable.  The state after layer 0 is
-        then a constant of the image and the prompts, so it may be computed
-        once per image and prompt set and reused by every later forward.
-        """
-        prefix = ("prompt.", "decoder.mask_token", "decoder.iou_token", "decoder.layer0.")
-        prefix_trainable = any(
-            p.trainable for p in self.registry.parameters() if p.name.startswith(prefix)
-        )
-        return self.encoder_frozen() and not prefix_trainable
-
     def forward(
         self,
         image: np.ndarray,

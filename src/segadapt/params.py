@@ -88,20 +88,24 @@ class ParameterRegistry:
         self._params[name] = param
         return param
 
-    def initialize(self, seed, only: Iterable[str] | None = None) -> None:
+    def initialize(self, seed: int, only: Iterable[str] | None = None) -> None:
         """Fill parameter values; draws are ordered by parameter name.
 
         Values are drawn in float64 and cast to the registry dtype so the two
-        precisions see the same numbers (up to rounding).
+        precisions see the same numbers (up to rounding).  Every value is
+        drawn before any is written, so a call that raises changes nothing.
         """
-        if seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {seed}")
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ValidationError(f"seed must be an int >= 0, got {seed!r}")
         names = sorted(self._params) if only is None else sorted(set(only))
-        for name in names:
-            param = self._params[name]
+        params = [self.param(name) for name in names]
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        values = []
+        for param in params:
             data = param.init.materialize(param.tensor.shape, rng, np.float64)
-            param.tensor.data = np.ascontiguousarray(data.astype(self.dtype)).reshape(data.shape)
+            values.append(np.ascontiguousarray(data.astype(self.dtype)).reshape(data.shape))
+        for param, data in zip(params, values):
+            param.tensor.data = data
 
     # -- access ---------------------------------------------------------------
 

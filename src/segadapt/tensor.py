@@ -45,6 +45,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def grad_enabled() -> bool:
+    """Whether operations are being recorded on the tape."""
+    return _grad_enabled
+
+
 class Tensor:
     """A numpy array plus optional gradient bookkeeping."""
 

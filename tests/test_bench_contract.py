@@ -1,10 +1,12 @@
 """The names the protocol benchmark hooks must exist where it hooks them.
 
-perfbench/tracer.py replaces attributes from outside the package, and the
-benchmark's sample clocks patch engine globals.  A refactor that moves or
+perfbench/tracer.py replaces attributes from outside the package, the
+benchmark's sample clocks patch engine globals, and perfbench/workloads.py
+calls the package through module attributes.  A refactor that moves or
 renames one of them would silently drop a span or a clock, so check here.
 """
 
+import ast
 import importlib.util
 from dataclasses import replace
 from pathlib import Path
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 import segadapt.adapter
+import segadapt.data
 import segadapt.engine
 from segadapt.checkpoint import dump_bytes
 from segadapt.config import TOY_ADAPTER, default_config
@@ -20,6 +23,7 @@ from segadapt.data import SplitSizes, generate_dataset
 from segadapt.model import ModelConfig, PromptSet, SegmentationModel
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+WORKLOADS = TRACER.with_name("workloads.py")
 
 
 def _load_tracer():
@@ -40,6 +44,23 @@ def test_every_trace_target_is_its_owners_own_attribute(targets):
         for owner, attr, _, _ in targets
         if attr not in vars(owner)
     ]
+    assert not missing
+
+
+def test_every_package_name_the_workloads_read_exists():
+    # workloads.py imports segadapt.engine as engine
+    modules = {
+        "engine": segadapt.engine,
+        "segadapt.data": segadapt.data,
+        "segadapt.adapter": segadapt.adapter,
+    }
+    reads = {
+        (owner, node.attr)
+        for node in ast.walk(ast.parse(WORKLOADS.read_text()))
+        if isinstance(node, ast.Attribute) and (owner := ast.unparse(node.value)) in modules
+    }
+    assert ("engine", "run_ttda") in reads and ("segadapt.data", "generate_dataset") in reads
+    missing = sorted(f"{owner}.{attr}" for owner, attr in reads if attr not in vars(modules[owner]))
     assert not missing
 
 

@@ -3,10 +3,12 @@ import json
 import weakref
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import segadapt.engine as engine
 from segadapt.adapter import trainable_predicate
 from segadapt.checkpoint import dump_bytes
 from segadapt.config import default_config
@@ -21,7 +23,6 @@ from segadapt.engine import (
     entropy_improved,
     evaluate_checkpoint,
     evaluate_model,
-    evaluate_with_predictor,
     interior_prompt,
     load_model,
     prompt_rng,
@@ -32,6 +33,7 @@ from segadapt.engine import (
 )
 from segadapt.errors import ContractError, FormatError, IntegrityError, ValidationError
 from segadapt.model import PromptSet, SegmentationModel
+from segadapt.tensor import no_grad
 
 SIZES = SplitSizes(30, 10, 10, 10, 10)
 
@@ -105,12 +107,12 @@ class TestInteriorPrompt:
 
 
 class TestEvaluation:
-    def test_perfect_predictor_scores_one(self, samples):
-        class Oracle:
-            def __init__(self, mask):
-                self.mask = mask
-
-        result = evaluate_with_predictor(lambda s, prompts: Oracle(s.mask), samples, seed=0)
+    def test_perfect_predictor_scores_one(self, samples, monkeypatch):
+        masks = {id(s.image): s.mask for s in samples}
+        monkeypatch.setattr(
+            SegmentationModel, "predict", lambda self, image, *args: SimpleNamespace(mask=masks[id(image)])
+        )
+        result = evaluate_model(SegmentationModel(default_config().model), samples, seed=0)
         assert result.mean == 1.0
         assert result.per_image == [1.0] * len(samples)
 
@@ -552,7 +554,7 @@ class TestTTDA:
         real_decode, real_step = SegmentationModel.decode, engine.adamw_step
 
         def decode(self, state):
-            events.append("decode" if tensor._grad_enabled else "no_grad decode")
+            events.append("decode" if tensor.grad_enabled() else "no_grad decode")
             return real_decode(self, state)
 
         def step(*args, **kwargs):
@@ -653,39 +655,71 @@ def _drop_path(fragment):
     return {k: v for k, v in fragment.items() if k != "checkpoint"}
 
 
-class TestEncoderFrozenRule:
-    @pytest.mark.parametrize(
-        "method, frozen",
-        [
-            ("full_ft", False),
-            ("decoder_ft", True),
-            ("lora", False),
-            ("sam_da_dec", True),
-            ("sam_da_enc", False),
-        ],
-    )
-    def test_truth_table(self, method, frozen):
-        cfg = default_config()
-        model = SegmentationModel(cfg.model)
-        attach_method(model, method, cfg.adapter, cfg.lora)
-        assert model.encoder_frozen() is frozen
+# What the memo keeps, (embedding, decoder prefix), for each method: the
+# tape's verdict on what no trainable weight feeds.
+MEMO_KEEPS = {
+    "full_ft": (False, False),
+    "decoder_ft": (True, False),
+    "lora": (False, False),
+    "sam_da_dec": (True, True),
+    "sam_da_enc": (False, False),
+}
 
-    def test_ttda_fresh_adapter_on_full_ft_checkpoint(self, workspace):
+
+def _memo_keeps(model, s):
+    """Whether a stage's memo keeps the embedding and the decoder prefix of
+    sample ``s``: a second call hands back the first call's objects."""
+    inputs = engine._frozen_inputs(model)
+    prompts = interior_prompt(s.mask, prompt_rng(0, s.volume_id, s.slice_index))
+    first, again = inputs(s, prompts), inputs(s, prompts)
+    return again[0] is first[0], again[1] is not None and again[1] is first[1]
+
+
+def _attached(method):
+    cfg = default_config()
+    model = SegmentationModel(cfg.model)
+    attach_method(model, method, cfg.adapter, cfg.lora)
+    return model
+
+
+class TestEncoderFrozenRule:
+    """The memo keeps an image's embedding exactly when nothing that feeds
+    the encoder trains."""
+
+    @pytest.mark.parametrize("method, frozen", [(m, e) for m, (e, _) in MEMO_KEEPS.items()])
+    def test_truth_table(self, samples, method, frozen):
+        assert _memo_keeps(_attached(method), samples[0])[0] is frozen
+
+    def test_ttda_fresh_adapter_on_full_ft_checkpoint(self, workspace, samples):
         model, meta = load_model(workspace["base"]["checkpoint"])
-        assert meta["method"] == "full_ft" and not model.encoder_frozen()
+        assert meta["method"] == "full_ft" and _memo_keeps(model, samples[0]) == (False, False)
         attach_method(model, "sam_da_dec", workspace["cfg"].adapter, None)
-        assert model.encoder_frozen()
+        assert _memo_keeps(model, samples[0])[0]
+
+
+class TestDecoderPrefixRule:
+    """The memo keeps the decoder's state after layer 0 exactly when nothing
+    that feeds it trains."""
+
+    @pytest.mark.parametrize("method, frozen", [(m, p) for m, (_, p) in MEMO_KEEPS.items()])
+    def test_truth_table(self, samples, method, frozen):
+        assert _memo_keeps(_attached(method), samples[0])[1] is frozen
+
+    def test_ttda_fresh_adapter_on_full_ft_checkpoint(self, workspace, samples):
+        model, _ = load_model(workspace["base"]["checkpoint"])
+        attach_method(model, "sam_da_dec", workspace["cfg"].adapter, None)
+        assert _memo_keeps(model, samples[0])[1]
 
 
 class TestEmbeddingCache:
-    @pytest.mark.parametrize("method", ["sam_da_dec", "decoder_ft"])
+    @pytest.mark.parametrize("method", list(MEMO_KEEPS))
     def test_cached_runs_equal_uncached_runs(self, workspace, tmp_path, monkeypatch, method):
         cfg = _method_cfg(workspace, method)
         runs = {}
         for cached in (True, False):
             with monkeypatch.context() as m:
                 if not cached:
-                    m.setattr(SegmentationModel, "encoder_frozen", lambda self: False)
+                    m.setattr(engine, "_frozen_inputs", lambda model: lambda s, p: (None, None))
                 train = train_supervised(cfg, workspace["data"], tmp_path / f"cached_{cached}")
                 ttda = run_ttda(train["checkpoint"], workspace["data"], cfg)
             runs[cached] = (
@@ -693,11 +727,18 @@ class TestEmbeddingCache:
             )
         assert runs[True] == runs[False]
 
-    def test_memo_refuses_an_embedding_on_the_tape(self, workspace, tmp_path, monkeypatch):
-        # A rule that wrongly holds under full_ft must not reuse a stale grid.
-        monkeypatch.setattr(SegmentationModel, "encoder_frozen", lambda self: True)
-        with pytest.raises(ContractError, match="autodiff tape"):
-            train_supervised(_method_cfg(workspace, "full_ft"), workspace["data"], tmp_path / "run")
+    @pytest.mark.parametrize("method", ["full_ft", "sam_da_dec"])
+    def test_nothing_computed_under_no_grad_is_kept(self, samples, monkeypatch, method):
+        # Every result under no_grad is off the tape, trainable weights or not.
+        inputs = engine._frozen_inputs(_attached(method))
+        s = samples[0]
+        prompts = interior_prompt(s.mask, prompt_rng(0, s.volume_id, s.slice_index))
+        with no_grad():
+            inputs(s, prompts)
+        calls = _count_calls(monkeypatch, SegmentationModel, "encode_image")
+        embedding, _ = inputs(s, prompts)
+        assert len(calls) == 1
+        assert embedding.requires_grad is (method == "full_ft")
 
     @pytest.mark.parametrize("method", ["sam_da_dec", "full_ft"])
     def test_encoder_passes(self, workspace, tmp_path, monkeypatch, method):
@@ -724,38 +765,20 @@ class TestEmbeddingCache:
         assert len(images) == len({id(image) for image in images}) == ttda["count"]
 
 
-class TestDecoderPrefixRule:
-    @pytest.mark.parametrize(
-        "method, frozen",
-        [
-            ("full_ft", False),
-            ("decoder_ft", False),
-            ("lora", False),
-            ("sam_da_dec", True),
-            ("sam_da_enc", False),
-        ],
-    )
-    def test_truth_table(self, method, frozen):
-        cfg = default_config()
-        model = SegmentationModel(cfg.model)
-        attach_method(model, method, cfg.adapter, cfg.lora)
-        assert model.decoder_prefix_frozen() is frozen
-
-    def test_ttda_fresh_adapter_on_full_ft_checkpoint(self, workspace):
-        model, _ = load_model(workspace["base"]["checkpoint"])
-        assert not model.decoder_prefix_frozen()
-        attach_method(model, "sam_da_dec", workspace["cfg"].adapter, None)
-        assert model.decoder_prefix_frozen()
-
-
 class TestDecoderPrefixCache:
     def test_runs_equal_runs_without_it(self, workspace, tmp_path, monkeypatch):
+        real_inputs = engine._frozen_inputs
+
+        def without_prefix(model):
+            inputs = real_inputs(model)
+            return lambda s, p: (inputs(s, p)[0], None)
+
         cfg = _method_cfg(workspace, "sam_da_dec")
         runs = {}
         for cached in (True, False):
             with monkeypatch.context() as m:
                 if not cached:
-                    m.setattr(SegmentationModel, "decoder_prefix_frozen", lambda self: False)
+                    m.setattr(engine, "_frozen_inputs", without_prefix)
                 train = train_supervised(cfg, workspace["data"], tmp_path / f"cached_{cached}")
                 ttda = run_ttda(train["checkpoint"], workspace["data"], cfg)
             runs[cached] = (
@@ -772,13 +795,6 @@ class TestDecoderPrefixCache:
         calls.clear()
         ttda = run_ttda(fragment["checkpoint"], workspace["data"], cfg)
         assert len(calls) == ttda["count"]
-
-    def test_memo_refuses_a_prefix_on_the_tape(self, workspace, tmp_path, monkeypatch):
-        # A rule that wrongly holds while decoder layer 0 trains must not
-        # reuse a stale prefix.
-        monkeypatch.setattr(SegmentationModel, "decoder_prefix_frozen", lambda self: True)
-        with pytest.raises(ContractError, match="decoder prefix .* autodiff tape"):
-            train_supervised(_method_cfg(workspace, "decoder_ft"), workspace["data"], tmp_path / "run")
 
 
 class TestAblation:

@@ -54,6 +54,25 @@ class TestRegistry:
             reg.initialize(seed=-1)
         assert dump_bytes(reg) == before
 
+    @pytest.mark.parametrize(
+        "seed, only, error",
+        [
+            (0, None, ContractError),  # "b" cannot be an identity; "a" sorts first
+            (0, ["a", "zzz"], ContractError),
+            (1.5, None, ValidationError),
+            (True, None, ValidationError),
+            ("0", None, ValidationError),
+        ],
+    )
+    def test_refused_initialize_changes_nothing(self, seed, only, error):
+        reg = ParameterRegistry()
+        reg.add("a", (4,), Init.normal(1.0))
+        reg.add("b", (2, 3), Init.identity())
+        before = dump_bytes(reg)
+        with pytest.raises(error):
+            reg.initialize(seed, only=only)
+        assert dump_bytes(reg) == before
+
     def test_identity_init(self):
         reg = ParameterRegistry()
         reg.add("mix", (3, 3), Init.identity())
