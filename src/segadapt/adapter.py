@@ -20,7 +20,7 @@ from typing import Callable
 
 from .errors import ContractError, ValidationError
 from .model import SegmentationModel
-from .params import Init, ParameterRegistry
+from .params import Init, ParameterRegistry, check_seed
 from .tensor import Tensor, attention, linear
 
 METHODS = ("full_ft", "decoder_ft", "lora", "sam_da_dec", "sam_da_enc")
@@ -123,8 +123,7 @@ def attach_decoder_adapter(model: SegmentationModel, cfg: AdapterConfig, seed: i
         raise ValidationError(f"decoder attachment requires placement 'decoder', got {cfg.placement!r}")
     if model.dense_hook is not None:
         raise ContractError("model already has a dense hook")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     reg = model.registry
     for i in range(model.cfg.dec_depth):
         declare_adapter_layer(reg, f"adapter.dec{i}", model.cfg.dec_dim, cfg)
@@ -140,8 +139,7 @@ def attach_encoder_adapter(model: SegmentationModel, cfg: AdapterConfig, seed: i
         raise ValidationError(f"encoder attachment requires placement 'encoder', got {cfg.placement!r}")
     if model.encoder_hook is not None:
         raise ContractError("model already has an encoder hook")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     depth = model.cfg.enc_depth
     first = depth - cfg.resolved_encoder_blocks(depth)
     reg = model.registry
@@ -157,8 +155,7 @@ def attach_lora(model: SegmentationModel, cfg: LoraConfig, seed: int = 0) -> Non
     cfg.validate()
     if model.lora_deltas:
         raise ContractError("model already has LoRA deltas")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     dim = model.cfg.enc_dim
     if cfg.rank > dim:
         raise ValidationError(f"rank {cfg.rank} exceeds projection dim {dim}")

@@ -126,7 +126,7 @@ def _cmd_report(args) -> None:
 
 def _cmd_paramcount(args) -> None:
     cfg = load_config(args.config) if args.config else default_config()
-    model = SegmentationModel(cfg.model)
+    model = SegmentationModel(cfg.model, draw=False)  # counted, never run
     before = model.registry.param_count()
     adapter_cfg = replace(cfg.adapter, placement="decoder")
     attach_decoder_adapter(model, adapter_cfg)

@@ -46,7 +46,7 @@ from .losses import (
     weighted_sum,
 )
 from .model import DecoderState, ModelConfig, PromptSet, SegmentationModel
-from .params import AdamWState, adamw_step
+from .params import AdamWState, adamw_step, check_seed
 from .stats import paired_t_test
 from .tensor import Tensor, backward, grad_enabled, no_grad
 
@@ -223,7 +223,8 @@ def load_model(checkpoint: str | Path) -> tuple[SegmentationModel, dict]:
             raise ValidationError(f"checkpoint sidecar {meta_path} lacks key {key!r}")
     if not isinstance(meta["method"], str):
         raise ValidationError(f"checkpoint sidecar {meta_path} names no method: {meta['method']!r}")
-    model = SegmentationModel(overlay(ModelConfig(), meta["model"]))
+    # restore below is strict, so it replaces every value: drawing them is waste.
+    model = SegmentationModel(overlay(ModelConfig(), meta["model"]), draw=False)
     adapter_cfg = overlay(AdapterConfig(), meta["adapter"]) if meta.get("adapter") else None
     lora_cfg = overlay(LoraConfig(), meta["lora"]) if meta.get("lora") else None
     attach_method(model, meta["method"], adapter_cfg, lora_cfg)
@@ -288,7 +289,8 @@ def train_supervised(cfg: RunConfig, data_root: str | Path, out_dir: str | Path)
             )
         train_samples = train_samples[: cfg.train.max_train_samples]
 
-    model = SegmentationModel(cfg.model)
+    # An init_from checkpoint replaces every value before the method attaches.
+    model = SegmentationModel(cfg.model, draw=not cfg.train.init_from)
     if cfg.train.init_from:
         init_path = Path(cfg.train.init_from)
         if not init_path.exists():
@@ -378,8 +380,7 @@ def evaluate_checkpoint(
     seed: int = 0,
     report_path: str | Path | None = None,
 ) -> dict:
-    if seed < 0:
-        raise ValidationError(f"eval seed must be >= 0, got {seed}")
+    check_seed(seed, "eval seed")
     data_root = Path(data_root)
     manifest = load_manifest(data_root)
     if domain not in manifest["domains"]:

@@ -139,9 +139,15 @@ class MaskPrediction:
 
 
 class SegmentationModel:
-    """Parameter registry plus the forward graph builders."""
+    """Parameter registry plus the forward graph builders.
 
-    def __init__(self, cfg: ModelConfig, dtype=np.float32):
+    With ``draw=False`` the parameters are declared but not drawn from
+    ``cfg.seed``: every value stays zero, for a caller that restores all of
+    them from a checkpoint (strictly, so none is left at zero) or only
+    counts them.
+    """
+
+    def __init__(self, cfg: ModelConfig, dtype=np.float32, *, draw: bool = True):
         cfg.validate()
         self.cfg = cfg
         self.registry = ParameterRegistry(dtype=dtype)
@@ -150,7 +156,8 @@ class SegmentationModel:
         self.dense_hook: Callable[[Tensor, int], Tensor] | None = None
         self.lora_deltas: dict[str, tuple[Tensor, Tensor, float]] = {}
         self._declare_parameters()
-        self.registry.initialize(cfg.seed)
+        if draw:
+            self.registry.initialize(cfg.seed)
 
     # -- parameter declaration -------------------------------------------------
 

@@ -17,6 +17,13 @@ from .errors import ContractError, ValidationError
 from .tensor import Tensor
 
 
+def check_seed(seed, what: str = "seed") -> None:
+    """Refuse, with ValidationError, a seed that is not an int >= 0 (a bool
+    is not one)."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValidationError(f"{what} must be an int >= 0, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class Init:
     """Declarative initializer; only random kinds consume generator draws."""
@@ -46,21 +53,25 @@ class Init:
         """Normal with std 1/sqrt(fan_in); fan_in is the first extent."""
         return Init("lecun")
 
+    def check(self, shape: tuple[int, ...]) -> None:
+        """Raise ContractError where ``materialize`` cannot fill ``shape``."""
+        if self.kind not in ("zeros", "constant", "identity", "normal", "lecun"):
+            raise ContractError(f"unknown init kind {self.kind!r}")
+        if self.kind == "identity" and (len(shape) != 2 or shape[0] != shape[1]):
+            raise ContractError(f"identity init needs a square matrix, got {shape}")
+
     def materialize(self, shape: tuple[int, ...], rng: np.random.Generator | None, dtype):
+        """Values for a ``shape`` that ``check`` accepted."""
         if self.kind == "zeros":
             return np.zeros(shape, dtype=dtype)
         if self.kind == "constant":
             return np.full(shape, self.value, dtype=dtype)
         if self.kind == "identity":
-            if len(shape) != 2 or shape[0] != shape[1]:
-                raise ContractError(f"identity init needs a square matrix, got {shape}")
             return np.eye(shape[0], dtype=dtype)
         if self.kind == "normal":
             return (rng.standard_normal(shape) * self.std).astype(dtype)
-        if self.kind == "lecun":
-            fan_in = shape[0] if shape else 1
-            return (rng.standard_normal(shape) / np.sqrt(fan_in)).astype(dtype)
-        raise ContractError(f"unknown init kind {self.kind!r}")
+        fan_in = shape[0] if shape else 1  # lecun
+        return (rng.standard_normal(shape) / np.sqrt(fan_in)).astype(dtype)
 
 
 @dataclass
@@ -92,20 +103,20 @@ class ParameterRegistry:
         """Fill parameter values; draws are ordered by parameter name.
 
         Values are drawn in float64 and cast to the registry dtype so the two
-        precisions see the same numbers (up to rounding).  Every value is
-        drawn before any is written, so a call that raises changes nothing.
+        precisions see the same numbers (up to rounding).  Everything a draw
+        could refuse is checked before the first value is drawn, so a call
+        that raises changes nothing; then each value is written as it is
+        drawn.
         """
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ValidationError(f"seed must be an int >= 0, got {seed!r}")
+        check_seed(seed)
         names = sorted(self._params) if only is None else sorted(set(only))
         params = [self.param(name) for name in names]
+        for param in params:
+            param.init.check(param.tensor.shape)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        values = []
         for param in params:
             data = param.init.materialize(param.tensor.shape, rng, np.float64)
-            values.append(np.ascontiguousarray(data.astype(self.dtype)).reshape(data.shape))
-        for param, data in zip(params, values):
-            param.tensor.data = data
+            param.tensor.data = np.ascontiguousarray(data.astype(self.dtype)).reshape(data.shape)
 
     # -- access ---------------------------------------------------------------
 

@@ -362,21 +362,26 @@ class TestSecondAttachment:
         _assert_refusal_changes_nothing(model, second, ContractError)
 
 
+# Each call attaches with the given seed; ids are the attachment's.
+SEEDED_ATTACHES = {
+    "decoder": lambda m, seed: attach_decoder_adapter(m, TOY_ADAPTER, seed=seed),
+    "encoder": lambda m, seed: attach_encoder_adapter(m, replace(TOY_ADAPTER, placement="encoder"), seed=seed),
+    "lora": lambda m, seed: attach_lora(m, LoraConfig(), seed=seed),
+    "method-sam_da_dec": lambda m, seed: attach_method(m, "sam_da_dec", TOY_ADAPTER, None, seed=seed),
+    "method-sam_da_enc": lambda m, seed: attach_method(m, "sam_da_enc", TOY_ADAPTER, None, seed=seed),
+    "method-lora": lambda m, seed: attach_method(m, "lora", None, LoraConfig(), seed=seed),
+}
+
+
 class TestNegativeSeed:
-    @pytest.mark.parametrize(
-        "attach",
-        [
-            lambda m: attach_decoder_adapter(m, TOY_ADAPTER, seed=-1),
-            lambda m: attach_encoder_adapter(m, replace(TOY_ADAPTER, placement="encoder"), seed=-1),
-            lambda m: attach_lora(m, LoraConfig(), seed=-1),
-            lambda m: attach_method(m, "sam_da_dec", TOY_ADAPTER, None, seed=-1),
-            lambda m: attach_method(m, "sam_da_enc", TOY_ADAPTER, None, seed=-1),
-            lambda m: attach_method(m, "lora", None, LoraConfig(), seed=-1),
-        ],
-        ids=["decoder", "encoder", "lora", "method-sam_da_dec", "method-sam_da_enc", "method-lora"],
-    )
+    @pytest.mark.parametrize("attach", list(SEEDED_ATTACHES.values()), ids=list(SEEDED_ATTACHES))
     def test_negative_seed_refused_before_any_parameter_is_added(self, attach):
-        _assert_refusal_changes_nothing(tiny_model(), attach, ValidationError)
+        _assert_refusal_changes_nothing(tiny_model(), lambda m: attach(m, -1), ValidationError)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "1", None])
+    @pytest.mark.parametrize("attach", list(SEEDED_ATTACHES.values()), ids=list(SEEDED_ATTACHES))
+    def test_seed_that_is_not_an_int_refused_before_any_parameter_is_added(self, attach, seed):
+        _assert_refusal_changes_nothing(tiny_model(), lambda m: attach(m, seed), ValidationError)
 
 
 class TestParamCount:

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import segadapt.engine as engine
-from segadapt.adapter import trainable_predicate
-from segadapt.checkpoint import dump_bytes
+from segadapt.adapter import METHODS, trainable_predicate
+from segadapt.checkpoint import dump_bytes, load, restore
 from segadapt.config import default_config
 from segadapt.data import SplitSizes, generate_dataset, load_manifest, load_split
 from segadapt.engine import (
@@ -33,6 +33,7 @@ from segadapt.engine import (
 )
 from segadapt.errors import ContractError, FormatError, IntegrityError, ValidationError
 from segadapt.model import PromptSet, SegmentationModel
+from segadapt.params import Init, ParameterRegistry
 from segadapt.tensor import no_grad
 
 SIZES = SplitSizes(30, 10, 10, 10, 10)
@@ -135,6 +136,11 @@ class TestEvaluation:
         before = dump_bytes(model.registry)
         evaluate_model(model, samples, seed=0)
         assert dump_bytes(model.registry) == before
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
+    def test_seed_that_is_not_an_int_at_least_zero_refused(self, workspace, seed):
+        with pytest.raises(ValidationError, match="eval seed must be an int >= 0"):
+            evaluate_checkpoint(workspace["base"]["checkpoint"], workspace["data"], "source", "val", seed=seed)
 
     def test_unknown_domain(self, workspace):
         with pytest.raises(ValidationError, match="absent from manifest"):
@@ -275,7 +281,74 @@ class TestFrozenAudit:
             train_supervised(_decoder_adapter_cfg(workspace, base), workspace["data"], tmp_path / "run")
 
 
+def _perturbed_checkpoint(path, method):
+    """A checkpoint of ``method`` on the default config, every value of which
+    differs from what a seeded build and attachment draw."""
+    cfg = default_config()
+    model = SegmentationModel(cfg.model)
+    adapter_cfg, lora_cfg = attach_method(model, method, cfg.adapter, cfg.lora)
+    rng = np.random.default_rng(7)
+    for param in model.registry.parameters():
+        noise = rng.standard_normal(param.tensor.shape).astype(np.float32)
+        param.tensor.data = param.tensor.data + 0.05 * noise
+    save_checkpoint(path, dump_bytes(model.registry), method, cfg.model, adapter_cfg, lora_cfg, 0)
+    return path
+
+
+def _without(path, name):
+    """Rewrite the checkpoint at ``path`` without parameter ``name``."""
+    values = load(path)
+    del values[name]
+    reg = ParameterRegistry()
+    for key, value in values.items():
+        reg.add(key, value.shape, Init.zeros())
+    restore(reg, values)
+    path.write_bytes(dump_bytes(reg))
+
+
 class TestLoadModel:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_equals_a_drawn_build_that_is_restored(self, samples, tmp_path, method):
+        ckpt = _perturbed_checkpoint(tmp_path / "m.sdck", method)
+        model, _ = load_model(ckpt)
+        cfg = default_config()
+        drawn = SegmentationModel(cfg.model)
+        attach_method(drawn, method, cfg.adapter, cfg.lora)
+        restore(drawn.registry, ckpt)
+        assert model.registry.names() == drawn.registry.names()
+        assert dump_bytes(model.registry) == dump_bytes(drawn.registry) == ckpt.read_bytes()
+        trainable = [[p.trainable for p in m.registry.parameters()] for m in (model, drawn)]
+        assert trainable[0] == trainable[1]
+        s = samples[0]
+        prompts = interior_prompt(s.mask, prompt_rng(0, s.volume_id, s.slice_index))
+        np.testing.assert_array_equal(model.predict(s.image, prompts).logits, drawn.predict(s.image, prompts).logits)
+
+    def test_a_checkpoint_missing_one_parameter_is_refused(self, workspace, tmp_path):
+        ckpt = _perturbed_checkpoint(tmp_path / "base.sdck", "full_ft")
+        _without(ckpt, "decoder.iou_token")
+        with pytest.raises(ContractError, match=r"missing \['decoder.iou_token'\]"):
+            load_model(ckpt)
+        with pytest.raises(ContractError, match=r"missing \['decoder.iou_token'\]"):
+            train_supervised(_decoder_adapter_cfg(workspace, str(ckpt)), workspace["data"], tmp_path / "run")
+
+    @pytest.mark.parametrize("method, prefix", [("full_ft", None), ("sam_da_dec", "adapter.")])
+    def test_draws_only_what_the_method_attaches(self, tmp_path, monkeypatch, method, prefix):
+        ckpt = _perturbed_checkpoint(tmp_path / "m.sdck", method)
+        drawn = []
+        initialize = ParameterRegistry.initialize
+
+        def recording(self, seed, only=None):
+            only = None if only is None else list(only)
+            drawn.extend(self.names() if only is None else only)
+            initialize(self, seed, only)
+
+        monkeypatch.setattr(ParameterRegistry, "initialize", recording)
+        load_model(ckpt)
+        if prefix is None:
+            assert drawn == []
+        else:
+            assert drawn and all(name.startswith(prefix) for name in drawn)
+
     def test_round_trip_predictions(self, workspace, samples, tmp_path):
         cfg = replace(
             workspace["cfg"],

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from segadapt.adapter import METHODS, AdapterConfig, LoraConfig
 from segadapt.checkpoint import dump_bytes, load_bytes
 from segadapt.cli import main
 from segadapt.config import config_to_dict, default_config, load_config
@@ -29,6 +30,7 @@ from segadapt.data import (
     sample_from_bytes,
     sample_to_bytes,
 )
+from segadapt.engine import attach_method, load_model, save_checkpoint
 from segadapt.errors import (
     ContractError,
     DimensionError,
@@ -36,6 +38,7 @@ from segadapt.errors import (
     IntegrityError,
     ValidationError,
 )
+from segadapt.model import ModelConfig, SegmentationModel
 from segadapt.params import Init, ParameterRegistry
 
 DOCUMENTED = (ValidationError, FormatError, DimensionError, ContractError, IntegrityError)
@@ -143,6 +146,50 @@ def _small_sample() -> bytes:
 @given(data=st.data())
 def test_sample_from_bytes_raises_only_documented_errors(data):
     _only_documented(sample_from_bytes, data.draw(byte_edits(_small_sample())))
+
+
+# -- checkpoint plus sidecar ---------------------------------------------------------
+
+TINY_MODEL = ModelConfig(
+    image_size=16, patch_size=4, enc_dim=16, enc_depth=2, enc_heads=2,
+    dec_dim=16, dec_depth=2, dec_heads=2, mlp_ratio=2,
+)
+
+
+@pytest.fixture(scope="module")
+def checkpoints(tmp_path_factory):
+    """Each method's checkpoint of a tiny model: (SDCK bytes, sidecar bytes)."""
+    root = tmp_path_factory.mktemp("checkpoints")
+    out = {}
+    for method in METHODS:
+        model = SegmentationModel(TINY_MODEL)
+        adapter_cfg, lora_cfg = attach_method(
+            model, method, AdapterConfig(prompt_dim=32, key_dim=8, value_dim=8), LoraConfig(rank=2)
+        )
+        path = root / f"{method}.sdck"
+        save_checkpoint(path, dump_bytes(model.registry), method, TINY_MODEL, adapter_cfg, lora_cfg, 0)
+        out[method] = (path.read_bytes(), (root / f"{method}.sdck.meta.json").read_bytes())
+    return out
+
+
+@pytest.mark.parametrize("edited", ["checkpoint", "sidecar"])
+@FUZZ
+@given(data=st.data())
+def test_load_model_raises_only_documented_errors_or_holds_the_checkpoint(tmp_path, checkpoints, edited, data):
+    weights, sidecar = checkpoints[data.draw(st.sampled_from(METHODS))]
+    if edited == "checkpoint":
+        weights = data.draw(byte_edits(weights))
+    else:
+        sidecar = data.draw(byte_edits(sidecar))
+    path = tmp_path / "model.sdck"
+    path.write_bytes(weights)
+    (tmp_path / "model.sdck.meta.json").write_bytes(sidecar)
+    try:
+        model, _ = load_model(path)
+    except DOCUMENTED:
+        return
+    # Every value came from the checkpoint: none is left undrawn.
+    assert dump_bytes(model.registry) == weights
 
 
 # -- manifest -----------------------------------------------------------------------

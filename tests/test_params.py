@@ -62,6 +62,7 @@ class TestRegistry:
             (1.5, None, ValidationError),
             (True, None, ValidationError),
             ("0", None, ValidationError),
+            (None, None, ValidationError),
         ],
     )
     def test_refused_initialize_changes_nothing(self, seed, only, error):
@@ -71,6 +72,15 @@ class TestRegistry:
         before = dump_bytes(reg)
         with pytest.raises(error):
             reg.initialize(seed, only=only)
+        assert dump_bytes(reg) == before
+
+    def test_unknown_init_kind_refused_before_any_draw(self):
+        reg = ParameterRegistry()
+        reg.add("a", (4,), Init.normal(1.0))
+        reg.add("b", (3,), Init("uniform"))
+        before = dump_bytes(reg)
+        with pytest.raises(ContractError, match="unknown init kind 'uniform'"):
+            reg.initialize(0)
         assert dump_bytes(reg) == before
 
     def test_identity_init(self):
