@@ -133,12 +133,14 @@ def restore(registry: ParameterRegistry, source, strict: bool = True) -> None:
     ``strict`` every registry parameter must be present and no stored name
     may be unknown.
     """
+    # A parsed source's arrays are private to this call, so a matching dtype
+    # need not be copied again; a caller's dict keeps its own arrays.
     if isinstance(source, (bytes, bytearray)):
-        values = load_bytes(bytes(source))
+        values, copy = load_bytes(bytes(source)), False
     elif isinstance(source, dict):
-        values = source
+        values, copy = source, True
     else:
-        values = load(source)
+        values, copy = load(source), False
     names = registry.names()
     if strict:
         missing = [n for n in names if n not in values]
@@ -156,5 +158,5 @@ def restore(registry: ParameterRegistry, source, strict: bool = True) -> None:
                 f"registry {registry.get(name).shape}"
             )
     for name in present:
-        data = values[name].astype(registry.dtype)
+        data = values[name].astype(registry.dtype, copy=copy)
         registry.get(name).data = np.ascontiguousarray(data).reshape(data.shape)

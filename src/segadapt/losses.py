@@ -2,6 +2,14 @@
 
 All losses take raw mask logits (a 2-d tensor) and numpy targets; targets are
 constants, gradients flow through the logits only unless stated otherwise.
+
+Dice, cross-entropy, focal, confident-entropy and slice-contrastive loss are
+each one tape node whose only parent is the differentiable input.  Forward
+and backward run the numpy operations of the chain of tensor ops that states
+the loss, in the same order and dtypes, and sum the flows into an array that
+the chain uses more than once in the order its backward pass would (and add
+a negated flow, as the chain does, rather than subtract it): every value and
+gradient is bit-identical to that chain.
 """
 
 from __future__ import annotations
@@ -13,7 +21,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .tensor import Tensor
+from . import tensor
+from .tensor import Tensor, _log_backward, _log_forward, _mean, _sigmoid_forward
 
 
 @dataclass(frozen=True)
@@ -53,22 +62,47 @@ def compute_iou(pred_mask: np.ndarray, target_mask: np.ndarray) -> float:
     return float(np.logical_and(a, b).sum() / union)
 
 
+def _constant(value, like: Tensor) -> np.ndarray:
+    """A Python number as the 0-d array the tensor ops make of it."""
+    return np.asarray(value, dtype=like.dtype)
+
+
 def dice_loss(logits: Tensor, target: np.ndarray, smooth: float = 1.0) -> Tensor:
+    """1 - (2 sum(p t) + smooth) / (sum(p) + sum(t) + smooth) at p = sigmoid(logits)."""
     t = _check_target(logits, target)
     n = logits.data.size
-    p = logits.reshape(n).sigmoid()
-    tt = Tensor(t.reshape(n))
-    overlap = (p * tt).sum()
-    denom = p.sum() + float(t.sum()) + smooth
-    return 1.0 - (2.0 * overlap + smooth) / denom
+    p = _sigmoid_forward(logits.data.reshape(n))
+    flat = t.reshape(n)
+    two, smooth = _constant(2.0, logits), _constant(smooth, logits)
+    num = (p * flat).sum() * two + smooth
+    denom = p.sum() + _constant(float(t.sum()), logits) + smooth
+
+    def grad_fn(g):
+        g_ratio = -g
+        g_denom = -g_ratio * num / (denom * denom)
+        g_p = g_ratio / denom * two * flat + g_denom  # the overlap's flow, then the sum's
+        return ((g_p * p * (1.0 - p)).reshape(logits.shape),)
+
+    return tensor._node(_constant(1.0, logits) - num / denom, (logits,), grad_fn)
 
 
 def cross_entropy_loss(logits: Tensor, target: np.ndarray) -> Tensor:
+    """Mean of -(t log p + (1 - t) log(1 - p)) at p = sigmoid(logits)."""
     t = _check_target(logits, target)
-    p = logits.sigmoid()
-    tt = Tensor(t)
-    ll = tt * p.log() + (1.0 - tt) * (1.0 - p).log()
-    return -ll.mean()
+    one = _constant(1.0, logits)
+    p = _sigmoid_forward(logits.data)
+    q, rest = one - p, one - t
+    clamped_p, log_p = _log_forward(p)
+    clamped_q, log_q = _log_forward(q)
+    terms = t * log_p + rest * log_q
+    count = terms.size
+
+    def grad_fn(g):
+        g_terms = -g / count
+        g_p = _log_backward(p, clamped_p, g_terms * t) + -_log_backward(q, clamped_q, g_terms * rest)
+        return (g_p * p * (1.0 - p),)
+
+    return tensor._node(-_mean(terms, None, False), (logits,), grad_fn)
 
 
 def focal_loss(logits: Tensor, target: np.ndarray, gamma: float = 2.0) -> Tensor:
@@ -76,12 +110,29 @@ def focal_loss(logits: Tensor, target: np.ndarray, gamma: float = 2.0) -> Tensor
     if gamma < 0:
         raise ValidationError(f"focal gamma must be >= 0, got {gamma}")
     t = _check_target(logits, target)
-    p = logits.sigmoid()
-    tt = Tensor(t)
-    pt = p * tt + (1.0 - p) * (1.0 - tt)
-    weight = (1.0 - pt) ** gamma if gamma != 0 else None
-    term = pt.log() if weight is None else weight * pt.log()
-    return -term.mean()
+    one = _constant(1.0, logits)
+    p = _sigmoid_forward(logits.data)
+    rest = one - t
+    pt = p * t + (one - p) * rest
+    clamped, log_pt = _log_forward(pt)
+    c = float(gamma)
+    if c == 0:
+        terms = log_pt
+    else:
+        far = one - pt
+        weight = far ** c
+        terms = weight * log_pt
+    count = terms.size
+
+    def grad_fn(g):
+        g_terms = -g / count
+        g_pt = _log_backward(pt, clamped, g_terms if c == 0 else g_terms * weight)
+        if c != 0:
+            g_pt = -(g_terms * log_pt * c * far ** (c - 1.0)) + g_pt  # the weight's flow first
+        g_p = g_pt * t + -(g_pt * rest)
+        return (g_p * p * (1.0 - p),)
+
+    return tensor._node(-_mean(terms, None, False), (logits,), grad_fn)
 
 
 def iou_match_loss(iou_pred: Tensor, logits: Tensor, target: np.ndarray) -> Tensor:
@@ -145,17 +196,34 @@ def confident_entropy_loss(logits: Tensor, fraction: float = 0.7) -> Tensor:
     if not 0.0 < fraction <= 1.0:
         raise ValidationError(f"confidence fraction must be in (0, 1], got {fraction}")
     n = logits.data.size
-    z = logits.reshape(n)
+    z = logits.data.reshape(n)
     # |z| via a constant sign mask; d|z|/dz = sign(z) almost everywhere
-    sign = np.where(z.data >= 0, 1.0, -1.0).astype(logits.dtype)
-    magnitude = z * Tensor(sign)
-    decay = (-magnitude).exp()  # e^-|z| in (0, 1]
-    entropy = (decay + 1.0).log() + magnitude * decay / (decay + 1.0)
+    sign = np.where(z >= 0, 1.0, -1.0).astype(logits.dtype)
+    magnitude = z * sign
+    decay = np.exp(-magnitude)  # e^-|z| in (0, 1]
+    grown = decay + _constant(1.0, logits)
+    clamped, log_grown = _log_forward(grown)
+    product = magnitude * decay
+    entropy = log_grown + product / grown
     k = min(n, max(1, math.ceil(fraction * n)))
-    order = np.argpartition(entropy.data, k - 1)[:k]
+    order = np.argpartition(entropy, k - 1)[:k]
     mask = np.zeros(n, dtype=logits.dtype)
     mask[order] = 1.0
-    return (entropy * Tensor(mask)).sum() / float(k)
+    count = _constant(float(k), logits)
+
+    def grad_fn(g):
+        g_entropy = g / count * mask
+        g_product = g_entropy / grown
+        # decay feeds the log, the product and the quotient's denominator
+        g_decay = (
+            _log_backward(grown, clamped, g_entropy)
+            + g_product * magnitude
+            + -g_entropy * product / (grown * grown)
+        )
+        g_magnitude = g_product * decay + -(g_decay * decay)  # the product's flow first
+        return ((g_magnitude * sign).reshape(logits.shape),)
+
+    return tensor._node((entropy * mask).sum() / count, (logits,), grad_fn)
 
 
 def proximity_loss(
@@ -181,6 +249,14 @@ def _unit_vector(v: np.ndarray, what: str) -> np.ndarray:
     return v / norm
 
 
+def _reference(other, anchor: Tensor) -> np.ndarray:
+    data = other.data if isinstance(other, Tensor) else other
+    ref = _unit_vector(data, "reference").astype(anchor.dtype)
+    if ref.shape != anchor.shape:
+        raise DimensionError(f"embedding shape {ref.shape} != anchor {anchor.shape}")
+    return ref
+
+
 def slice_contrastive_loss(
     anchor: Tensor,
     positive,
@@ -201,20 +277,27 @@ def slice_contrastive_loss(
     if anchor.data.ndim != 1:
         raise DimensionError(f"anchor must be 1-d, got shape {anchor.shape}")
 
-    norm_sq = (anchor * anchor).sum()
-    if float(norm_sq.data) == 0.0:
+    a = anchor.data
+    norm_sq = np.asarray((a * a).sum())  # a 0-d array, whose ** numpy computes as the chain's
+    if float(norm_sq) == 0.0:
         raise ValidationError("anchor embedding has zero norm")
-    unit = anchor / norm_sq.sqrt()
+    norm = norm_sq ** 0.5
+    unit = a / norm
+    refs = [_reference(other, anchor) for other in [positive, *negatives]]
+    temperature = _constant(temperature, anchor)
+    sims = [(unit * ref).sum() / temperature for ref in refs]
+    exps = [np.exp(sim) for sim in sims]
+    denom = sum(exps[1:], exps[0])
+    clamped, log_denom = _log_forward(denom)
 
-    def similarity(other) -> Tensor:
-        data = other.data if isinstance(other, Tensor) else other
-        ref = _unit_vector(data, "reference").astype(anchor.dtype)
-        if ref.shape != anchor.shape:
-            raise DimensionError(f"embedding shape {ref.shape} != anchor {anchor.shape}")
-        return (unit * Tensor(ref)).sum() / temperature
+    def grad_fn(g):
+        g_denom = _log_backward(denom, clamped, g)
+        g_sims = [g_denom * e for e in exps]
+        g_sims[0] = -g + g_sims[0]  # the positive's flow from the result, then from its exp
+        flows = [g_sim / temperature * ref for g_sim, ref in zip(g_sims, refs)]
+        g_unit = sum(flows[2:] + flows[:1], flows[1])  # the negatives in order, then the positive
+        g_norm = (-g_unit * a / (norm * norm)).sum()
+        g_norm_sq = g_norm * 0.5 * norm_sq ** -0.5
+        return (g_unit / norm + g_norm_sq * a + g_norm_sq * a,)
 
-    pos = similarity(positive)
-    denom = pos.exp()
-    for neg in negatives:
-        denom = denom + similarity(neg).exp()
-    return denom.log() - pos
+    return tensor._node(log_denom - sims[0], (anchor,), grad_fn)

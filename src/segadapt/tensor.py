@@ -494,24 +494,31 @@ def exp(a: Tensor) -> Tensor:
     return _node(out, (a,), lambda g: (g * out,))
 
 
+def _log_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    clamped = np.maximum(x, LOG_CLAMP)
+    return clamped, np.log(clamped)
+
+
+def _log_backward(x: np.ndarray, clamped: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return np.where(x >= LOG_CLAMP, g / clamped, 0.0)
+
+
 def log(a: Tensor) -> Tensor:
     """Natural log with input clamped at LOG_CLAMP; slope 0 in the clamp."""
-    clamped = np.maximum(a.data, LOG_CLAMP)
-    out = np.log(clamped)
+    clamped, out = _log_forward(a.data)
+    return _node(out, (a,), lambda g: (_log_backward(a.data, clamped, g),))
 
-    def grad_fn(g):
-        return (np.where(a.data >= LOG_CLAMP, g / clamped, 0.0),)
 
-    return _node(out, (a,), grad_fn)
+def _sigmoid_forward(x: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    info = np.finfo(x.dtype)
+    return np.clip(s, info.tiny, 1.0 - info.epsneg)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     """Numerically stable logistic; output pinned strictly inside (0, 1)."""
-    x = a.data
-    e = np.exp(-np.abs(x))
-    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    info = np.finfo(x.dtype)
-    s = np.clip(s, info.tiny, 1.0 - info.epsneg)
+    s = _sigmoid_forward(a.data)
 
     def grad_fn(g):
         return (g * s * (1.0 - s),)

@@ -137,6 +137,32 @@ class TestCheckpointFormat:
             ckpt.restore(reg, values, strict=strict)
         assert ckpt.dump_bytes(reg) == before
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_restored_dict_is_copied(self, dtype):
+        # The caller keeps the dict (TTDA resets every sample from one), so
+        # writing into its arrays afterwards must not reach the registry.
+        values = ckpt.load_bytes(ckpt.dump_bytes(build_registry()))
+        reg = build_registry(dtype)
+        reg.initialize(seed=99)
+        ckpt.restore(reg, values)
+        restored = ckpt.dump_bytes(reg)
+        for array in values.values():
+            array += 1.0
+        assert ckpt.dump_bytes(reg) == restored
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["path", "bytes", "bytearray"])
+    def test_a_parsed_source_restores_its_bytes(self, tmp_path, dtype, kind):
+        blob = ckpt.dump_bytes(build_registry())
+        path = tmp_path / "model.sdck"
+        path.write_bytes(blob)
+        source = {"path": path, "bytes": blob, "bytearray": bytearray(blob)}[kind]
+        reg = build_registry(dtype)
+        reg.initialize(seed=99)
+        ckpt.restore(reg, source)
+        assert ckpt.dump_bytes(reg) == blob
+        assert all(reg.get(name).dtype == dtype for name in reg.names())
+
 
 # -- the per-parameter byte audit -------------------------------------------------------
 

@@ -1,6 +1,8 @@
 import gc
 import json
+import sys
 import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,6 +11,8 @@ import numpy as np
 import pytest
 
 import segadapt.engine as engine
+import segadapt.tensor as tensor
+from chains import ENGINE_LOSSES
 from segadapt.adapter import METHODS, trainable_predicate
 from segadapt.checkpoint import dump_bytes, load, restore
 from segadapt.config import default_config
@@ -868,6 +872,87 @@ class TestDecoderPrefixCache:
         calls.clear()
         ttda = run_ttda(fragment["checkpoint"], workspace["data"], cfg)
         assert len(calls) == ttda["count"]
+
+
+def _count_nodes(monkeypatch):
+    """Nodes recorded on the tape from now on, by the function that made each."""
+    ops = Counter()
+    real_node = tensor._node
+
+    def counting(data, parents, grad_fn):
+        if tensor.grad_enabled():
+            ops[sys._getframe(1).f_code.co_name] += 1
+        return real_node(data, parents, grad_fn)
+
+    monkeypatch.setattr(tensor, "_node", counting)
+    return ops
+
+
+class TestLossNodes:
+    """Each loss term is one tape node, bit-identical to the chain of nodes
+    it replaced (kept in ``chains``)."""
+
+    @pytest.mark.parametrize("method", ["full_ft", "sam_da_dec"])
+    def test_runs_equal_runs_of_the_chains(self, workspace, tmp_path, monkeypatch, method):
+        cfg = _method_cfg(workspace, method)
+        runs = {}
+        for fused in (True, False):
+            with monkeypatch.context() as m:
+                if not fused:
+                    for name, chain in ENGINE_LOSSES.items():
+                        m.setattr(engine, name, chain)
+                train = train_supervised(cfg, workspace["data"], tmp_path / f"fused_{fused}")
+                ttda = run_ttda(train["checkpoint"], workspace["data"], cfg)
+            runs[fused] = (
+                Path(train["checkpoint"]).read_bytes(), _drop_path(train), _drop_path(ttda)
+            )
+        assert runs[True] == runs[False]
+
+    def test_a_ttda_iteration_records_one_node_per_term(self, workspace, monkeypatch):
+        # The chains recorded 129-149 nodes per iteration here, five more for
+        # each negative (134 at two).  Now the decoder from layer 1 on makes
+        # 71 and the objective 11, whatever the number of negatives: the
+        # dense mean, four loss nodes, proximity's sum, and the weighted
+        # sum's three products and two sums.
+        cfg = workspace["cfg"]
+        cfg = replace(cfg, ttda=replace(cfg.ttda, iterations=2))
+        ops = _count_nodes(monkeypatch)
+        steps = []
+        real_backward = engine.backward
+
+        def backward(loss):
+            steps.append(ops.copy())
+            ops.clear()
+            real_backward(loss)
+
+        monkeypatch.setattr(engine, "backward", backward)
+        fragment = run_ttda(workspace["base"]["checkpoint"], workspace["data"], cfg)
+        whole = steps[1::2]  # each sample's second step: nothing but one iteration
+        assert len(whole) == fragment["count"]
+        for step in whole:
+            assert sum(step.values()) == 82
+            terms = ["confident_entropy_loss", "focal_loss", "dice_loss", "slice_contrastive_loss"]
+            assert [step[name] for name in terms] == [1, 1, 1, 1]
+
+    def test_a_supervised_loss_records_nine_nodes(self, workspace, tmp_path, monkeypatch):
+        # dice and cross-entropy one node each (the chains: 11 and 10), the
+        # IoU match 2 and the weighted sum 5; 28 before.
+        ops = _count_nodes(monkeypatch)
+        counts = []
+        real_loss = engine.supervised_loss
+
+        def supervised_loss(*args, **kwargs):
+            ops.clear()
+            out = real_loss(*args, **kwargs)
+            counts.append(ops.copy())
+            return out
+
+        monkeypatch.setattr(engine, "supervised_loss", supervised_loss)
+        cfg = replace(_method_cfg(workspace, "sam_da_dec"), train=replace(
+            _method_cfg(workspace, "sam_da_dec").train, epochs=1, max_train_samples=2))
+        train_supervised(cfg, workspace["data"], tmp_path / "run")
+        assert counts and all(sum(c.values()) == 9 for c in counts)
+        assert all(c["dice_loss"] == c["cross_entropy_loss"] == 1 for c in counts)
 
 
 class TestAblation:

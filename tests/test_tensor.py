@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import segadapt.tensor as tensor
+from chains import chain_attention, chain_linear
 from segadapt import Init, ParameterRegistry, Tensor, backward, concat, finite_diff_check, no_grad
 from segadapt.adapter import AdapterConfig, attach_decoder_adapter
 from segadapt.errors import ContractError, DimensionError
@@ -205,19 +206,6 @@ class TestSoftmax:
         assert s.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-def _chain_attention(q, k, v, heads, scale):
-    """The chain of separate nodes that ``attention`` replaces: its reference."""
-    n_q, dim = q.shape
-    n_k, dim_v = v.shape
-    if heads == 1:
-        return softmax((q @ k.T) * scale, axis=1) @ v
-    q3 = q.reshape(n_q, heads, dim // heads).permute(1, 0, 2)
-    k3 = k.reshape(n_k, heads, dim // heads).permute(1, 2, 0)
-    v3 = v.reshape(n_k, heads, dim_v // heads).permute(1, 0, 2)
-    weights = softmax((q3 @ k3) * scale, axis=2)
-    return (weights @ v3).permute(1, 0, 2).reshape(n_q, dim_v)
-
-
 def _attention_run(op, heads, leaves, inputs):
     """Forward bytes and every leaf's .grad bytes of ``op`` under a fixed loss."""
     rng = np.random.default_rng(heads)
@@ -245,7 +233,7 @@ class TestAttention:
         }
         inputs = lambda t: (t["q"], t["k"], t["v"])  # noqa: E731
         fused = _attention_run(attention, heads, leaves, inputs)
-        assert fused == _attention_run(_chain_attention, heads, leaves, inputs)
+        assert fused == _attention_run(chain_attention, heads, leaves, inputs)
         assert fused[0] == np.float32
         assert [g is not None for g in fused[2].values()] == list(mask)
 
@@ -265,7 +253,7 @@ class TestAttention:
             return t["x"] @ t["wq"], kv @ t["wk"], kv @ t["wv"]
 
         fused = _attention_run(attention, heads, leaves, inputs)
-        assert fused == _attention_run(_chain_attention, heads, leaves, inputs)
+        assert fused == _attention_run(chain_attention, heads, leaves, inputs)
         assert (fused[2]["y"] is not None) == cross
 
     @pytest.mark.parametrize("heads", [1, 2])
@@ -330,22 +318,6 @@ class TestAttention:
         assert sum(ops.values()) == 175
 
 
-def add_bias(x, bias):
-    """The bias node ``linear`` replaced, as the package had it: the reference."""
-    out = x.data + bias.data[None, :]
-
-    def grad_fn(g):
-        return (g if x.requires_grad else None), (g.sum(axis=0) if bias.requires_grad else None)
-
-    return tensor._node(out, (x, bias), grad_fn)
-
-
-def _chain_linear(x, weight, bias, delta=None):
-    """The matmul / add / bias chain of separate nodes that ``linear`` replaces."""
-    y = x @ weight
-    return add_bias(y if delta is None else y + delta, bias)
-
-
 def _linear_run(op, leaves, build):
     """Forward bytes and every leaf's .grad bytes of ``build(op, leaves)``
     under a fixed loss."""
@@ -378,7 +350,7 @@ class TestLinear:
             return op(t["x"], t["w"], t["b"], t["d"] if with_delta else None)
 
         fused = _linear_run(linear, leaves, build)
-        assert fused == _linear_run(_chain_linear, leaves, build)
+        assert fused == _linear_run(chain_linear, leaves, build)
         assert fused[0] == np.float32
         assert [g is not None for g in fused[2].values()] == list(mask)
 
@@ -404,7 +376,7 @@ class TestLinear:
             return attention(proj("q", lora), proj("k", False), proj("v", lora), 2, 0.5)
 
         fused = _linear_run(linear, leaves, build)
-        assert fused == _linear_run(_chain_linear, leaves, build)
+        assert fused == _linear_run(chain_linear, leaves, build)
         assert (fused[2]["downq"] is not None) == lora and fused[2]["downk"] is None
 
     @pytest.mark.parametrize("with_delta", [False, True])
