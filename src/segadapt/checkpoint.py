@@ -47,9 +47,19 @@ def dump_bytes(registry: ParameterRegistry) -> bytes:
     return b"".join(parts)
 
 
-def first_difference(registry: ParameterRegistry, reference: dict[str, np.ndarray]) -> str | None:
-    """What ``dump_bytes(registry)`` would differ in from the checkpoint
-    ``reference`` was parsed from (by ``load_bytes``), or None if nothing.
+def byte_reference(registry: ParameterRegistry) -> dict[str, tuple[tuple[int, ...], bytes]]:
+    """Each parameter's shape and float32 bytes, in name order: what
+    ``dump_bytes`` serializes of it.  A reference taken once serves any
+    number of ``first_difference`` audits."""
+    return {p.name: (p.tensor.shape, float32_bytes(p.tensor.data)) for p in registry.parameters()}
+
+
+def first_difference(
+    registry: ParameterRegistry, reference: dict[str, tuple[tuple[int, ...], bytes]]
+) -> str | None:
+    """What ``dump_bytes(registry)`` would differ in from ``dump_bytes`` of
+    the registry ``reference`` is the ``byte_reference`` of, or None if
+    nothing.
 
     Compares what the serialized form holds -- the sorted names, each shape
     and each parameter's float32 bytes -- one parameter at a time, without
@@ -60,10 +70,11 @@ def first_difference(registry: ParameterRegistry, reference: dict[str, np.ndarra
     if names != list(reference):
         return "the parameter names"
     for name in names:
-        data, expected = registry.get(name).data, reference[name]
-        if data.shape != expected.shape:
+        data = registry.get(name).data
+        shape, expected = reference[name]
+        if data.shape != shape:
             return f"the shape of {name!r}"
-        if float32_bytes(data) != expected.tobytes():
+        if float32_bytes(data) != expected:
             return f"the values of {name!r}"
     return None
 

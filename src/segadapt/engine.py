@@ -32,7 +32,14 @@ from .adapter import (
     attach_encoder_adapter,
     attach_lora,
 )
-from .checkpoint import dump_bytes, first_difference, float32_bytes, load_bytes, restore
+from .checkpoint import (
+    byte_reference,
+    dump_bytes,
+    first_difference,
+    float32_bytes,
+    load,
+    restore,
+)
 from .config import RunConfig, config_to_dict, overlay
 from .data import Sample, load_manifest, load_split, read_json_object
 from .errors import ContractError, IntegrityError, ValidationError
@@ -115,7 +122,12 @@ class EvalResult:
         return cls(per_image=[float(v) for v in scores], mean=float(arr.mean()), std=float(arr.std()))
 
 
-Inputs = Callable[[Sample, PromptSet], tuple[Tensor | None, DecoderState | None]]
+def _click(s: Sample, seed: int) -> PromptSet:
+    """The sample's one seeded interior click."""
+    return interior_prompt(s.mask, prompt_rng(seed, s.volume_id, s.slice_index))
+
+
+Inputs = Callable[[Sample], tuple[PromptSet, Tensor | None, DecoderState | None]]
 
 
 def evaluate_model(
@@ -125,54 +137,59 @@ def evaluate_model(
     inputs: Inputs | None = None,
 ) -> EvalResult:
     """IoU of binarized predictions against ground truth, one click per image;
-    ``inputs`` supplies what each forward may reuse (by default every image
-    and prompt is encoded)."""
+    ``inputs``, a stage's memo drawn with the same seed, supplies each click
+    and what its forward may reuse (by default each click is drawn and every
+    image and prompt is encoded)."""
     scores = []
     for s in samples:
-        prompts = interior_prompt(s.mask, prompt_rng(seed, s.volume_id, s.slice_index))
-        reused = inputs(s, prompts) if inputs is not None else ()
-        scores.append(compute_iou(model.predict(s.image, prompts, *reused).mask, s.mask))
+        reused = inputs(s) if inputs is not None else (_click(s, seed),)
+        scores.append(compute_iou(model.predict(s.image, *reused).mask, s.mask))
     return EvalResult.from_scores(scores)
 
 
-def _frozen_inputs(model: SegmentationModel) -> Inputs:
-    """``inputs(sample, prompts)``: the (image embedding, decoder prefix) pair
-    a forward of that sample and prompt set may use within one stage call.
+def _frozen_inputs(model: SegmentationModel, seed: int) -> Inputs:
+    """``inputs(sample)``: the (prompts, image embedding, decoder prefix)
+    triple a forward of that sample may use within one stage call.
 
-    The tape decides what is kept.  Recorded with the tape on, a result that
-    comes back off it (no ``requires_grad``) was fed by no trainable
-    parameter, hook or LoRA delta, so it stays valid while the caller trains.
-    An off-tape embedding is kept per (loaded Sample object, PromptSet) --
-    SAM's split: the heavy image encoder once per image, the prompt encoder
-    and decoder once per prompt -- and so is the decoder's state after layer
-    0 when that is off the tape too.  Under ``no_grad`` every result is off
-    the tape, so nothing is kept.  Once an embedding comes back on the tape,
-    something that feeds the encoder trains, so no later one can be kept and
-    each forward encodes for itself (a validation pass then records no
-    tape).  The caller must not change frozen weights, or which weights
+    Keyed by the loaded Sample object alone.  The sample's seeded click is
+    drawn on its first call and kept.  The tape decides what else is kept.
+    Recorded with the tape on, a result that comes back off it (no
+    ``requires_grad``) was fed by no trainable parameter, hook or LoRA
+    delta, so it stays valid while the caller trains.  An off-tape embedding
+    is kept -- SAM's split: the heavy image encoder once per image, the
+    prompt encoder and decoder once per prompt -- and so is the decoder
+    prefix (layer 0's state and layer 1's self-attended tokens) when that is
+    off the tape too.  Under ``no_grad`` every result is off the tape, so
+    nothing but the click is kept.  Once an embedding comes back on the
+    tape, something that feeds the encoder trains, so no later one can be
+    kept and each forward encodes for itself (a validation pass then records
+    no tape).  The caller must not change frozen weights, or which weights
     train, while it uses the helper.
     """
-    # Keyed on object identity; each entry keeps its sample alive so the id
-    # cannot be reused by another object.  A stage call gives each sample one
-    # seeded prompt set, so each image is still encoded once.
-    memo: dict[tuple[int, PromptSet], tuple[Sample, Tensor, DecoderState | None]] = {}
+    # Keyed on object identity; each click entry keeps its sample alive so
+    # the id cannot be reused by another object.
+    clicks: dict[int, tuple[Sample, PromptSet]] = {}
+    frozen: dict[int, tuple[Tensor, DecoderState | None]] = {}
     taped = False
 
-    def inputs(s: Sample, prompts: PromptSet):
+    def inputs(s: Sample):
         nonlocal taped
-        hit = memo.get((id(s), prompts))
-        if hit is not None:
-            return hit[1], hit[2]
+        key = id(s)
+        if key not in clicks:
+            clicks[key] = (s, _click(s, seed))
+        prompts = clicks[key][1]
+        if key in frozen:
+            return (prompts, *frozen[key])
         if taped or not grad_enabled():
-            return None, None  # the forward encodes under the caller's tape setting
+            return prompts, None, None  # the forward encodes under the caller's tape setting
         embedding = model.encode_image(s.image)
         if embedding.requires_grad:
             taped = True
-            return embedding, None
+            return prompts, embedding, None
         prefix = model.decoder_prefix(embedding, model.encode_prompts(prompts))
-        frozen = not (prefix.tokens.requires_grad or prefix.dense.requires_grad)
-        memo[id(s), prompts] = (s, embedding, prefix if frozen else None)
-        return embedding, prefix
+        off_tape = not (prefix.tokens.requires_grad or prefix.dense.requires_grad)
+        frozen[key] = (embedding, prefix if off_tape else None)
+        return prompts, embedding, prefix
 
     return inputs
 
@@ -223,12 +240,19 @@ def load_model(checkpoint: str | Path) -> tuple[SegmentationModel, dict]:
             raise ValidationError(f"checkpoint sidecar {meta_path} lacks key {key!r}")
     if not isinstance(meta["method"], str):
         raise ValidationError(f"checkpoint sidecar {meta_path} names no method: {meta['method']!r}")
-    # restore below is strict, so it replaces every value: drawing them is waste.
-    model = SegmentationModel(overlay(ModelConfig(), meta["model"]), draw=False)
+    model_cfg = overlay(ModelConfig(), meta["model"])
     adapter_cfg = overlay(AdapterConfig(), meta["adapter"]) if meta.get("adapter") else None
     lora_cfg = overlay(LoraConfig(), meta["lora"]) if meta.get("lora") else None
+    values = load(path)
+    # Each parameter is checked against the checkpoint as it is declared, so
+    # a sidecar that describes another model costs no more than the
+    # checkpoint.  restore below is strict, so it replaces every value:
+    # drawing them is waste.
+    shapes = {name: value.shape for name, value in values.items()}
+    model = SegmentationModel(model_cfg, draw=False, expected=shapes)
     attach_method(model, meta["method"], adapter_cfg, lora_cfg)
-    restore(model.registry, path)
+    model.registry.expected = None  # a caller may attach more, as TTDA does
+    restore(model.registry, values)
     return model, meta
 
 
@@ -312,7 +336,7 @@ def train_supervised(cfg: RunConfig, data_root: str | Path, out_dir: str | Path)
     opt = AdamWState(lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([_SHUFFLE_TAG, cfg.train.seed]))
     seed = cfg.train.seed
-    inputs = _frozen_inputs(model)
+    inputs = _frozen_inputs(model, seed)
 
     val = evaluate_model(model, val_samples, seed, inputs)
     val_curve = [val.mean]
@@ -329,8 +353,7 @@ def train_supervised(cfg: RunConfig, data_root: str | Path, out_dir: str | Path)
             scale = 1.0 / len(batch)
             for idx in batch:
                 s = train_samples[int(idx)]
-                prompts = interior_prompt(s.mask, prompt_rng(seed, s.volume_id, s.slice_index))
-                out = model.forward(s.image, prompts, *inputs(s, prompts))
+                out = model.forward(s.image, *inputs(s))
                 total_loss, parts = supervised_loss(out.logits, out.iou_pred, s.mask, cfg.loss)
                 if not math.isfinite(parts["total"]):
                     raise ValidationError(
@@ -412,16 +435,13 @@ def evaluate_checkpoint(
 # -- test-time adaptation ---------------------------------------------------------------
 
 
-def _unadapted(
-    model: SegmentationModel, inputs: Inputs, s: Sample, seed: int
-) -> tuple[PromptSet, Tensor, np.ndarray]:
-    """A slice's prompts, logits and pooled dense embedding under the weights
-    the model holds; ``run_ttda`` calls it only while those are the reference."""
-    prompts = interior_prompt(s.mask, prompt_rng(seed, s.volume_id, s.slice_index))
-    reused = inputs(s, prompts)  # with the tape on, so the memo keeps what is off it
+def _unadapted(model: SegmentationModel, inputs: Inputs, s: Sample) -> tuple[Tensor, np.ndarray]:
+    """A slice's logits and pooled dense embedding under the weights the
+    model holds; ``run_ttda`` calls it only while those are the reference."""
+    reused = inputs(s)  # with the tape on, so the memo keeps what is off it
     with no_grad():
-        out = model.forward(s.image, prompts, *reused)
-    return prompts, out.logits, out.dense.data.mean(axis=0)
+        out = model.forward(s.image, *reused)
+    return out.logits, out.dense.data.mean(axis=0)
 
 
 def _ttda_sample(
@@ -429,7 +449,7 @@ def _ttda_sample(
     s: Sample,
     cfg: RunConfig,
     inputs: Inputs,
-    unadapted: dict[tuple[int, int], tuple[PromptSet, Tensor, np.ndarray]],
+    unadapted: dict[tuple[int, int], tuple[Tensor, np.ndarray]],
 ) -> dict:
     """Adapt the model to one sample and return the sample's record.
 
@@ -441,7 +461,7 @@ def _ttda_sample(
     settings = cfg.ttda
     q = cfg.loss.confidence_fraction
     v, i = s.volume_id, s.slice_index
-    prompts, first_logits, _ = unadapted[v, i]
+    first_logits, _ = unadapted[v, i]
     with no_grad():
         entropy_before = confident_entropy_loss(first_logits, q).item()
     snapshot = first_logits.data
@@ -459,7 +479,7 @@ def _ttda_sample(
         return record  # the zero-weight control: nothing can train, so no forward runs
     positive = next(
         (
-            unadapted[v, i + d][2]
+            unadapted[v, i + d][1]
             for d in (settings.positive_offset, -settings.positive_offset)
             if (v, i + d) in unadapted
         ),
@@ -467,14 +487,14 @@ def _ttda_sample(
     )
     # Ascending slice order: the contrastive loss sums its negatives in it.
     negatives = [
-        unadapted[key][2]
+        unadapted[key][1]
         for key in sorted(unadapted)
         if key[0] == v and abs(key[1] - i) >= settings.negative_min_offset
     ]
 
     opt = AdamWState(lr=settings.lr, weight_decay=0.0)
     for _ in range(settings.iterations):
-        out = model.forward(s.image, prompts, *inputs(s, prompts))
+        out = model.forward(s.image, *inputs(s))
         entropy = confident_entropy_loss(out.logits, q)
         proximity = proximity_loss(
             out.logits, snapshot, gamma=cfg.loss.focal_gamma, smooth=cfg.loss.dice_smooth
@@ -498,7 +518,7 @@ def _ttda_sample(
         adamw_step(model.registry, opt)
     else:
         with no_grad():
-            final = model.forward(s.image, prompts, *inputs(s, prompts))
+            final = model.forward(s.image, *inputs(s))
             record["entropy_after"] = confident_entropy_loss(final.logits, q).item()
         record["iou_after"] = compute_iou(mask_from_logits(final.logits.data), s.mask)
     return record
@@ -533,18 +553,18 @@ def run_ttda(
     model, meta = load_model(checkpoint)
     if not any(n.startswith("adapter.") for n in model.registry.names()):
         attach_method(model, "sam_da_dec", cfg.adapter, None, seed=settings.seed)
-    # Parsed once.  A sample changes only the parameters that train, so only
-    # those are reset; the audit still covers every parameter.
-    reference = load_bytes(dump_bytes(model.registry))
-    trained = {p.name: reference[p.name] for p in model.registry.trainable_parameters()}
+    # Serialized once.  A sample changes only the parameters that train, so
+    # only those are reset; the audit still covers every parameter.
+    reference = byte_reference(model.registry)
+    trained = {p.name: p.tensor.data.copy() for p in model.registry.trainable_parameters()}
 
     records = []
     for run in _volume_runs(samples):
         # Memos live for one volume: a sample's positive and negatives are
         # slices of its own volume.  Every slice's unadapted forward runs
         # before any sample adapts, so all run under the reference weights.
-        inputs = _frozen_inputs(model)
-        unadapted = {(s.volume_id, s.slice_index): _unadapted(model, inputs, s, settings.seed) for s in run}
+        inputs = _frozen_inputs(model, settings.seed)
+        unadapted = {(s.volume_id, s.slice_index): _unadapted(model, inputs, s) for s in run}
         for s in run:
             records.append(_ttda_sample(model, s, cfg, inputs, unadapted))
             restore(model.registry, trained, strict=False)

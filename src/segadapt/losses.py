@@ -67,11 +67,17 @@ def _constant(value, like: Tensor) -> np.ndarray:
     return np.asarray(value, dtype=like.dtype)
 
 
-def dice_loss(logits: Tensor, target: np.ndarray, smooth: float = 1.0) -> Tensor:
-    """1 - (2 sum(p t) + smooth) / (sum(p) + sum(t) + smooth) at p = sigmoid(logits)."""
+def dice_loss(
+    logits: Tensor, target: np.ndarray, smooth: float = 1.0, *, p: np.ndarray | None = None
+) -> Tensor:
+    """1 - (2 sum(p t) + smooth) / (sum(p) + sum(t) + smooth) at p = sigmoid(logits).
+
+    ``p``, if given, is ``_sigmoid_forward(logits.data)``: a pair of terms on
+    the same logits computes it once.
+    """
     t = _check_target(logits, target)
     n = logits.data.size
-    p = _sigmoid_forward(logits.data.reshape(n))
+    p = _sigmoid_forward(logits.data.reshape(n)) if p is None else p.reshape(n)
     flat = t.reshape(n)
     two, smooth = _constant(2.0, logits), _constant(smooth, logits)
     num = (p * flat).sum() * two + smooth
@@ -86,11 +92,12 @@ def dice_loss(logits: Tensor, target: np.ndarray, smooth: float = 1.0) -> Tensor
     return tensor._node(_constant(1.0, logits) - num / denom, (logits,), grad_fn)
 
 
-def cross_entropy_loss(logits: Tensor, target: np.ndarray) -> Tensor:
-    """Mean of -(t log p + (1 - t) log(1 - p)) at p = sigmoid(logits)."""
+def cross_entropy_loss(logits: Tensor, target: np.ndarray, *, p: np.ndarray | None = None) -> Tensor:
+    """Mean of -(t log p + (1 - t) log(1 - p)) at p = sigmoid(logits); ``p``
+    as in ``dice_loss``."""
     t = _check_target(logits, target)
     one = _constant(1.0, logits)
-    p = _sigmoid_forward(logits.data)
+    p = _sigmoid_forward(logits.data) if p is None else p
     q, rest = one - p, one - t
     clamped_p, log_p = _log_forward(p)
     clamped_q, log_q = _log_forward(q)
@@ -105,13 +112,16 @@ def cross_entropy_loss(logits: Tensor, target: np.ndarray) -> Tensor:
     return tensor._node(-_mean(terms, None, False), (logits,), grad_fn)
 
 
-def focal_loss(logits: Tensor, target: np.ndarray, gamma: float = 2.0) -> Tensor:
-    """Mean of -(1 - p_t)^gamma * log(p_t); gamma = 0 reduces to CE."""
+def focal_loss(
+    logits: Tensor, target: np.ndarray, gamma: float = 2.0, *, p: np.ndarray | None = None
+) -> Tensor:
+    """Mean of -(1 - p_t)^gamma * log(p_t); gamma = 0 reduces to CE; ``p``
+    as in ``dice_loss``."""
     if gamma < 0:
         raise ValidationError(f"focal gamma must be >= 0, got {gamma}")
     t = _check_target(logits, target)
     one = _constant(1.0, logits)
-    p = _sigmoid_forward(logits.data)
+    p = _sigmoid_forward(logits.data) if p is None else p
     rest = one - t
     pt = p * t + (one - p) * rest
     clamped, log_pt = _log_forward(pt)
@@ -168,9 +178,10 @@ def supervised_loss(
     cfg: LossConfig = LossConfig(),
 ) -> tuple[Tensor, dict[str, float]]:
     """Weighted dice + cross-entropy + IoU-match total; zero weights drop terms."""
+    p = _sigmoid_forward(logits.data)
     terms = {
-        "dice": (cfg.dice_weight, dice_loss(logits, target, smooth=cfg.dice_smooth)),
-        "cross_entropy": (cfg.ce_weight, cross_entropy_loss(logits, target)),
+        "dice": (cfg.dice_weight, dice_loss(logits, target, smooth=cfg.dice_smooth, p=p)),
+        "cross_entropy": (cfg.ce_weight, cross_entropy_loss(logits, target, p=p)),
         "iou_match": (cfg.iou_weight, iou_match_loss(iou_pred, logits, target)),
     }
     parts = {name: term.item() for name, (_, term) in terms.items()}
@@ -238,7 +249,8 @@ def proximity_loss(
     a constant.
     """
     pseudo = mask_from_logits(snapshot_logits).astype(logits.dtype)
-    return focal_loss(logits, pseudo, gamma=gamma) + dice_loss(logits, pseudo, smooth=smooth)
+    p = _sigmoid_forward(logits.data)
+    return focal_loss(logits, pseudo, gamma=gamma, p=p) + dice_loss(logits, pseudo, smooth=smooth, p=p)
 
 
 def _unit_vector(v: np.ndarray, what: str) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -144,13 +144,21 @@ class SegmentationModel:
     With ``draw=False`` the parameters are declared but not drawn from
     ``cfg.seed``: every value stays zero, for a caller that restores all of
     them from a checkpoint (strictly, so none is left at zero) or only
-    counts them.
+    counts them.  ``expected`` becomes the registry's (see
+    ``ParameterRegistry``).
     """
 
-    def __init__(self, cfg: ModelConfig, dtype=np.float32, *, draw: bool = True):
+    def __init__(
+        self,
+        cfg: ModelConfig,
+        dtype=np.float32,
+        *,
+        draw: bool = True,
+        expected: Mapping[str, tuple[int, ...]] | None = None,
+    ):
         cfg.validate()
         self.cfg = cfg
-        self.registry = ParameterRegistry(dtype=dtype)
+        self.registry = ParameterRegistry(dtype=dtype, expected=expected)
         # Hook points used by the adapter/LoRA attachments.
         self.encoder_hook: Callable[[Tensor, int], Tensor] | None = None
         self.dense_hook: Callable[[Tensor, int], Tensor] | None = None
@@ -301,12 +309,18 @@ class SegmentationModel:
 
     # -- decoder ------------------------------------------------------------------------
 
-    def twoway_layer(self, state: DecoderState, layer: int) -> DecoderState:
-        """One token<->image exchange; residual + layer-norm per sub-block."""
+    def _self_attend(self, state: DecoderState, layer: int) -> DecoderState:
+        """Layer ``layer``'s first sub-block, which reads the tokens alone."""
+        p = f"decoder.layer{layer}"
+        t = state.tokens
+        t = self._norm(f"{p}.norm1", t + self._attention(f"{p}.self_attn", self.cfg.dec_heads, t, t, t))
+        return DecoderState(tokens=t, dense=state.dense)
+
+    def _exchange(self, state: DecoderState, layer: int) -> DecoderState:
+        """The rest of layer ``layer``, from the tokens its first sub-block made."""
         cfg = self.cfg
         p = f"decoder.layer{layer}"
         t, d = state.tokens, state.dense
-        t = self._norm(f"{p}.norm1", t + self._attention(f"{p}.self_attn", cfg.dec_heads, t, t, t))
         t = self._norm(
             f"{p}.norm2", t + self._attention(f"{p}.cross_token_to_image", cfg.dec_heads, t, d, d)
         )
@@ -316,20 +330,35 @@ class SegmentationModel:
         )
         return DecoderState(tokens=t, dense=d)
 
+    def twoway_layer(self, state: DecoderState, layer: int) -> DecoderState:
+        """One token<->image exchange; residual + layer-norm per sub-block."""
+        return self._exchange(self._self_attend(state, layer), layer)
+
+    def _enter(self, state: DecoderState, layer: int) -> DecoderState:
+        """``state`` with its tokens through layer ``layer``'s first
+        sub-block, if the decoder has that layer."""
+        return self._self_attend(state, layer) if layer < self.cfg.dec_depth else state
+
     def decoder_prefix(self, embedding: Tensor, prompt_tokens: Tensor) -> DecoderState:
-        """The state after decoder layer 0, before its dense hook."""
+        """The state after decoder layer 0, before its dense hook, with the
+        tokens already through layer 1's self-attention: that sub-block
+        reads only the tokens, which no dense hook touches."""
         reg = self.registry
         tokens = concat(
             [reg.get("decoder.mask_token"), reg.get("decoder.iou_token"), prompt_tokens], axis=0
         )
-        return self.twoway_layer(DecoderState(tokens=tokens, dense=embedding), 0)
+        return self._enter(self.twoway_layer(DecoderState(tokens=tokens, dense=embedding), 0), 1)
 
     def decode(self, state: DecoderState) -> ForwardResult:
-        """Continue from ``state``, the one ``decoder_prefix`` returned."""
+        """Continue from ``state``, the one ``decoder_prefix`` returned.
+
+        Between layers the tokens run one sub-block ahead of the dense grid:
+        each layer's exchange starts from tokens its self-attention made.
+        """
         cfg = self.cfg
         for layer in range(cfg.dec_depth):
             if layer:
-                state = self.twoway_layer(state, layer)
+                state = self._enter(self._exchange(state, layer), layer + 1)
             if self.dense_hook is not None:
                 state = DecoderState(state.tokens, self.dense_hook(state.dense, layer))
 
@@ -360,8 +389,9 @@ class SegmentationModel:
         embedding: Tensor | None = None,
         prefix: DecoderState | None = None,
     ) -> ForwardResult:
-        """Decode the prompts from ``prefix``, their state after decoder layer
-        0, if given; else from the image's ``embedding``, encoded if not given."""
+        """Decode the prompts from ``prefix``, the state ``decoder_prefix``
+        made of them, if given; else from the image's ``embedding``, encoded
+        if not given."""
         if prefix is None:
             if embedding is None:
                 embedding = self.encode_image(image)

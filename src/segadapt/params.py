@@ -9,7 +9,7 @@ depend on construction order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -83,17 +83,32 @@ class Parameter:
 
 
 class ParameterRegistry:
-    """Flat mapping of dotted-path names to parameters."""
+    """Flat mapping of dotted-path names to parameters.
 
-    def __init__(self, dtype=np.float32):
+    While ``expected`` maps names to shapes (those of a checkpoint the
+    registry is built for), ``add`` refuses with ContractError, before it
+    allocates anything, a parameter not named there with that shape: a
+    model described wrongly for its checkpoint is refused at its first wrong
+    parameter, in time and memory bounded by the checkpoint's.
+    """
+
+    def __init__(self, dtype=np.float32, expected: Mapping[str, tuple[int, ...]] | None = None):
         if dtype not in (np.float32, np.float64):
             raise ContractError(f"registry dtype must be float32 or float64, got {dtype}")
         self.dtype = dtype
+        self.expected = expected
         self._params: dict[str, Parameter] = {}
 
     def add(self, name: str, shape: tuple[int, ...], init: Init, trainable: bool = True) -> Parameter:
         if name in self._params:
             raise ContractError(f"duplicate parameter name {name!r}")
+        if self.expected is not None:
+            if name not in self.expected:
+                raise ContractError(f"checkpoint/registry mismatch: missing {[name]}")
+            if tuple(shape) != self.expected[name]:
+                raise ContractError(
+                    f"shape mismatch for {name!r}: checkpoint {self.expected[name]}, registry {tuple(shape)}"
+                )
         tensor = Tensor(np.zeros(tuple(shape), dtype=self.dtype), requires_grad=trainable)
         param = Parameter(name, tensor, init, trainable)
         self._params[name] = param

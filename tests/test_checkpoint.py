@@ -209,7 +209,8 @@ def _perturb(reg, draw):
     elif kind == "zero":
         flat[i] = draw(st.sampled_from((0.0, -0.0)))
     else:  # a quiet or signalling NaN with any payload and sign
-        flat[i] = _with_bits(draw(st.sampled_from((0x7F800000, 0xFF800000))) | draw(st.integers(1, 0x7FFFFF)))
+        with np.errstate(invalid="ignore"):  # into a float64 parameter a signalling NaN turns quiet
+            flat[i] = _with_bits(draw(st.sampled_from((0x7F800000, 0xFF800000))) | draw(st.integers(1, 0x7FFFFF)))
     reg.get(name).data = flat.reshape(data.shape)
     return reg
 
@@ -217,7 +218,7 @@ def _perturb(reg, draw):
 class TestFirstDifference:
     def test_untouched_registry_has_none(self):
         reg = build_registry()
-        assert ckpt.first_difference(reg, ckpt.load_bytes(ckpt.dump_bytes(reg))) is None
+        assert ckpt.first_difference(reg, ckpt.byte_reference(reg)) is None
 
     @pytest.mark.parametrize(
         "stored, current",
@@ -227,7 +228,7 @@ class TestFirstDifference:
     def test_compares_bytes_not_values(self, stored, current):
         reg = build_registry()
         reg.get("adapter.dec0.gate").data = np.asarray(stored, dtype=np.float32)
-        reference = ckpt.load_bytes(ckpt.dump_bytes(reg))
+        reference = ckpt.byte_reference(reg)
         # the same NaN bytes match although NaN != NaN as a value
         assert ckpt.first_difference(reg, reference) is None
         reg.get("adapter.dec0.gate").data = np.asarray(current, dtype=np.float32)
@@ -239,7 +240,7 @@ class TestFirstDifference:
         reg = build_registry()
         reg.get("decoder.mix.weight").data[0, 1] = -0.0  # a signed zero to flip back
         blob = ckpt.dump_bytes(reg)
-        reference = ckpt.load_bytes(blob)
+        reference = ckpt.byte_reference(reg)
         for _ in range(data.draw(st.integers(1, 3))):
             reg = _perturb(reg, data.draw)
         assert (ckpt.first_difference(reg, reference) is not None) == (ckpt.dump_bytes(reg) != blob)

@@ -427,6 +427,28 @@ class TestLoadModel:
         with pytest.raises(ValidationError, match="names no method"):
             load_model(ckpt)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("enc_depth", 10**7, r"missing \['encoder.block6.norm1.gain'\]"),
+            ("image_size", 2**20, "shape mismatch for 'encoder.pos_embed'"),
+            ("dec_dim", 2**16, "shape mismatch for 'encoder.neck.weight'"),
+            ("enc_depth", 1, r"unknown \['encoder.block1."),
+        ],
+    )
+    def test_a_sidecar_that_describes_another_model_is_refused_as_it_is_declared(
+        self, workspace, tmp_path, monkeypatch, key, value, message
+    ):
+        # A larger model is refused at its first parameter the checkpoint
+        # lacks, so its declarations cost no more than the checkpoint's.
+        meta = json.loads((workspace["root"] / "base" / "checkpoint.sdck.meta.json").read_text())
+        meta["model"][key] = value
+        ckpt = self._with_sidecar(workspace, tmp_path, json.dumps(meta))
+        added = _count_calls(monkeypatch, ParameterRegistry, "add")
+        with pytest.raises(ContractError, match=message):
+            load_model(ckpt)
+        assert len(added) <= len(load(ckpt))
+
     @pytest.mark.parametrize("method", ["sam_da_dec", "sam_da_enc", "lora"])
     def test_sidecar_without_method_config(self, workspace, tmp_path, method):
         src = workspace["root"] / "base"
@@ -683,13 +705,13 @@ class TestTTDAMemoScope:
         alive = set()
         real_inputs, real_sample = engine._frozen_inputs, engine._ttda_sample
 
-        def recording_inputs(model):
-            inputs = real_inputs(model)
+        def recording_inputs(model, seed):
+            inputs = real_inputs(model, seed)
 
-            def recorded(s, prompts):
-                embedding, prefix = inputs(s, prompts)
+            def recorded(s):
+                prompts, embedding, prefix = inputs(s)
                 embeddings.append((s.volume_id, weakref.ref(embedding)))
-                return embedding, prefix
+                return prompts, embedding, prefix
 
             return recorded
 
@@ -746,10 +768,16 @@ MEMO_KEEPS = {
 def _memo_keeps(model, s):
     """Whether a stage's memo keeps the embedding and the decoder prefix of
     sample ``s``: a second call hands back the first call's objects."""
-    inputs = engine._frozen_inputs(model)
-    prompts = interior_prompt(s.mask, prompt_rng(0, s.volume_id, s.slice_index))
-    first, again = inputs(s, prompts), inputs(s, prompts)
-    return again[0] is first[0], again[1] is not None and again[1] is first[1]
+    inputs = engine._frozen_inputs(model, 0)
+    first, again = inputs(s), inputs(s)
+    assert again[0] is first[0]  # the click is kept whatever trains
+    return again[1] is first[1], again[2] is not None and again[2] is first[2]
+
+
+def _without_memo(model, seed):
+    """``_frozen_inputs`` with nothing kept: every forward draws its click
+    and encodes the image, the prompts, layer 0 and layer 1's tokens."""
+    return lambda s: (interior_prompt(s.mask, prompt_rng(seed, s.volume_id, s.slice_index)), None, None)
 
 
 def _attached(method):
@@ -775,8 +803,8 @@ class TestEncoderFrozenRule:
 
 
 class TestDecoderPrefixRule:
-    """The memo keeps the decoder's state after layer 0 exactly when nothing
-    that feeds it trains."""
+    """The memo keeps the decoder prefix (layer 0's state and layer 1's
+    self-attended tokens) exactly when nothing that feeds it trains."""
 
     @pytest.mark.parametrize("method, frozen", [(m, p) for m, (_, p) in MEMO_KEEPS.items()])
     def test_truth_table(self, samples, method, frozen):
@@ -787,6 +815,13 @@ class TestDecoderPrefixRule:
         attach_method(model, "sam_da_dec", workspace["cfg"].adapter, None)
         assert _memo_keeps(model, samples[0])[1]
 
+    def test_a_trained_layer_one_self_attention_is_not_kept(self, samples):
+        # Layer 0 is frozen, but the prefix's tokens come out of layer 1's
+        # self-attention, which trains: only the embedding is kept.
+        model = SegmentationModel(default_config().model)
+        model.registry.set_trainable(lambda name: name.startswith("decoder.layer1.self_attn."))
+        assert _memo_keeps(model, samples[0]) == (True, False)
+
 
 class TestEmbeddingCache:
     @pytest.mark.parametrize("method", list(MEMO_KEEPS))
@@ -796,7 +831,7 @@ class TestEmbeddingCache:
         for cached in (True, False):
             with monkeypatch.context() as m:
                 if not cached:
-                    m.setattr(engine, "_frozen_inputs", lambda model: lambda s, p: (None, None))
+                    m.setattr(engine, "_frozen_inputs", _without_memo)
                 train = train_supervised(cfg, workspace["data"], tmp_path / f"cached_{cached}")
                 ttda = run_ttda(train["checkpoint"], workspace["data"], cfg)
             runs[cached] = (
@@ -807,13 +842,12 @@ class TestEmbeddingCache:
     @pytest.mark.parametrize("method", ["full_ft", "sam_da_dec"])
     def test_nothing_computed_under_no_grad_is_kept(self, samples, monkeypatch, method):
         # Every result under no_grad is off the tape, trainable weights or not.
-        inputs = engine._frozen_inputs(_attached(method))
+        inputs = engine._frozen_inputs(_attached(method), 0)
         s = samples[0]
-        prompts = interior_prompt(s.mask, prompt_rng(0, s.volume_id, s.slice_index))
         with no_grad():
-            inputs(s, prompts)
+            inputs(s)
         calls = _count_calls(monkeypatch, SegmentationModel, "encode_image")
-        embedding, _ = inputs(s, prompts)
+        _, embedding, _ = inputs(s)
         assert len(calls) == 1
         assert embedding.requires_grad is (method == "full_ft")
 
@@ -846,9 +880,9 @@ class TestDecoderPrefixCache:
     def test_runs_equal_runs_without_it(self, workspace, tmp_path, monkeypatch):
         real_inputs = engine._frozen_inputs
 
-        def without_prefix(model):
-            inputs = real_inputs(model)
-            return lambda s, p: (inputs(s, p)[0], None)
+        def without_prefix(model, seed):
+            inputs = real_inputs(model, seed)
+            return lambda s: (*inputs(s)[:2], None)
 
         cfg = _method_cfg(workspace, "sam_da_dec")
         runs = {}
@@ -872,6 +906,66 @@ class TestDecoderPrefixCache:
         calls.clear()
         ttda = run_ttda(fragment["checkpoint"], workspace["data"], cfg)
         assert len(calls) == ttda["count"]
+
+
+def _count_clicks(monkeypatch):
+    """The masks ``engine.interior_prompt`` draws a click on from now on."""
+    masks = []
+    real_click = engine.interior_prompt
+
+    def click(mask, rng, *args):
+        masks.append(mask)
+        return real_click(mask, rng, *args)
+
+    monkeypatch.setattr(engine, "interior_prompt", click)
+    return masks
+
+
+class TestPerSampleWork:
+    """Within a stage call each sample's click is drawn once, whatever
+    trains, and layer 1's self-attention runs once per sample where its
+    input is off the tape."""
+
+    @pytest.mark.parametrize("method", ["sam_da_dec", "decoder_ft"])
+    def test_clicks_and_layer_one_self_attention(self, workspace, tmp_path, monkeypatch, method):
+        clicks, attended = _count_clicks(monkeypatch), []
+        real_attention = SegmentationModel._attention
+
+        def attention(self, prefix, *args):
+            if prefix == "decoder.layer1.self_attn":
+                attended.append(prefix)
+            return real_attention(self, prefix, *args)
+
+        monkeypatch.setattr(SegmentationModel, "_attention", attention)
+        cfg = _method_cfg(workspace, method)
+        fragment = train_supervised(cfg, workspace["data"], tmp_path / "run")
+        epochs, n_train, n_val = cfg.train.epochs, fragment["train_samples"], SIZES.source_val
+        assert len(clicks) == len({id(mask) for mask in clicks}) == n_train + n_val
+        if method == "decoder_ft":
+            # layer 1 trains: one self-attention per training step and per
+            # validation prediction
+            assert len(attended) == epochs * n_train + (epochs + 1) * n_val
+            return
+        assert len(attended) == n_train + n_val
+        clicks.clear()
+        attended.clear()
+        ttda = run_ttda(fragment["checkpoint"], workspace["data"], cfg)
+        assert len(clicks) == len(attended) == ttda["count"]
+
+    def test_clicks_once_where_the_encoder_trains(self, workspace, tmp_path, monkeypatch):
+        clicks = _count_clicks(monkeypatch)
+        cfg = _method_cfg(workspace, "full_ft")
+        cfg = replace(cfg, train=replace(cfg.train, epochs=1, max_train_samples=4))
+        fragment = train_supervised(cfg, workspace["data"], tmp_path / "run")
+        assert len(clicks) == len({id(mask) for mask in clicks}) == fragment["train_samples"] + SIZES.source_val
+
+    def test_evaluation_without_a_memo_draws_a_click_per_image(self, samples, monkeypatch):
+        clicks = _count_clicks(monkeypatch)
+        encodes = _count_calls(monkeypatch, SegmentationModel, "encode_image")
+        model = SegmentationModel(default_config().model)
+        evaluate_model(model, samples, seed=0)
+        evaluate_model(model, samples, seed=0)
+        assert len(clicks) == len(encodes) == 2 * len(samples)
 
 
 def _count_nodes(monkeypatch):
@@ -910,10 +1004,11 @@ class TestLossNodes:
 
     def test_a_ttda_iteration_records_one_node_per_term(self, workspace, monkeypatch):
         # The chains recorded 129-149 nodes per iteration here, five more for
-        # each negative (134 at two).  Now the decoder from layer 1 on makes
-        # 71 and the objective 11, whatever the number of negatives: the
-        # dense mean, four loss nodes, proximity's sum, and the weighted
-        # sum's three products and two sums.
+        # each negative (134 at two).  Now the decoder from layer 1's
+        # cross-attention on makes 64 (layer 1's self-attention, 7 more, is
+        # in the memoized prefix) and the objective 11, whatever the number
+        # of negatives: the dense mean, four loss nodes, proximity's sum, and
+        # the weighted sum's three products and two sums.
         cfg = workspace["cfg"]
         cfg = replace(cfg, ttda=replace(cfg.ttda, iterations=2))
         ops = _count_nodes(monkeypatch)
@@ -930,7 +1025,7 @@ class TestLossNodes:
         whole = steps[1::2]  # each sample's second step: nothing but one iteration
         assert len(whole) == fragment["count"]
         for step in whole:
-            assert sum(step.values()) == 82
+            assert sum(step.values()) == 75
             terms = ["confident_entropy_loss", "focal_loss", "dice_loss", "slice_contrastive_loss"]
             assert [step[name] for name in terms] == [1, 1, 1, 1]
 

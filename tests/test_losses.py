@@ -270,6 +270,28 @@ class TestProximity:
         assert proximity_loss(Tensor(logits, dtype=np.float64), logits).item() < 1e-2
 
 
+class TestSharedSigmoid:
+    """A pair of terms on the same logits computes their sigmoid once."""
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            lambda z, t: proximity_loss(z, t),
+            lambda z, t: supervised_loss(z, Tensor(np.asarray(0.4)), t > 0.5),
+        ],
+        ids=["proximity", "supervised"],
+    )
+    def test_one_sigmoid_per_pair(self, monkeypatch, pair):
+        import segadapt.losses as losses
+
+        calls = []
+        real = losses._sigmoid_forward
+        monkeypatch.setattr(losses, "_sigmoid_forward", lambda x: calls.append(x) or real(x))
+        logits, target = rand_case(18)
+        pair(Tensor(logits, dtype=np.float64, requires_grad=True), target)
+        assert len(calls) == 1
+
+
 class TestSliceContrastive:
     def test_two_candidate_closed_form(self):
         # anchor == positive, orthogonal negative, temperature 1:

@@ -107,6 +107,18 @@ class TestRegistry:
         assert np.all(reg.get("beta.bias").grad == 0)
 
 
+    def test_expected_shapes_refuse_before_anything_is_added(self):
+        reg = ParameterRegistry(expected={"alpha.weight": (3, 4), "beta": (3, 4)})
+        reg.add("alpha.weight", (3, 4), Init.zeros())
+        with pytest.raises(ContractError, match=r"shape mismatch for 'beta': checkpoint \(3, 4\), registry \(4, 3\)"):
+            reg.add("beta", (4, 3), Init.zeros())
+        with pytest.raises(ContractError, match=r"missing \['gamma'\]"):
+            reg.add("gamma", (2**40,), Init.zeros())  # refused before its zeros are allocated
+        assert reg.names() == ["alpha.weight"]
+        reg.expected = None
+        reg.add("gamma", (2,), Init.zeros())  # without an expectation anything goes
+
+
 def adamw_oracle(w0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, wd=0.0):
     """Reference recurrence, plain python floats."""
     w = float(w0)
