@@ -18,6 +18,7 @@ import struct
 
 import numpy as np
 
+from .data import read_file, write_file
 from .errors import ContractError, FormatError
 from .params import ParameterRegistry
 
@@ -80,8 +81,7 @@ def first_difference(
 
 
 def save(path, registry: ParameterRegistry) -> None:
-    with open(path, "wb") as fh:
-        fh.write(dump_bytes(registry))
+    write_file(path, dump_bytes(registry))
 
 
 class _Reader:
@@ -133,8 +133,7 @@ def load_bytes(data: bytes) -> dict[str, np.ndarray]:
 
 
 def load(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        return load_bytes(fh.read())
+    return load_bytes(read_file(path, "checkpoint"))
 
 
 def restore(registry: ParameterRegistry, source, strict: bool = True) -> None:

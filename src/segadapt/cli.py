@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .adapter import AdapterConfig, adapter_param_count, attach_decoder_adapter
 from .config import default_config, load_config
@@ -24,8 +22,14 @@ PUBLISHED_TOKEN_DIM = 256
 PUBLISHED_LAYER_COUNT = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 64 (EX_USAGE): argparse's 2 is the integrity-error code here
+        self.print_usage(sys.stderr)
+        self.exit(64, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="segadapt",
         description="Prompted segmentation with lightweight domain adapters.",
     )
@@ -72,14 +76,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen_data(args) -> None:
     cfg = load_config(args.config)
-    manifest = generate_dataset(Path(args.out), cfg.data.source, cfg.data.target, cfg.data.sizes)
+    manifest = generate_dataset(args.out, cfg.data.source, cfg.data.target, cfg.data.sizes)
     total = sum(split["count"] for split in manifest["splits"].values())
     print(f"wrote {total} slices across {len(manifest['splits'])} splits to {args.out}")
 
 
 def _cmd_train(args) -> None:
     cfg = load_config(args.config)
-    fragment = train_supervised(cfg, Path(args.data), Path(args.out))
+    fragment = train_supervised(cfg, args.data, args.out)
     print(
         f"{fragment['method']} seed {fragment['seed']}: best val IoU "
         f"{fragment['best_val_iou']:.4f}, {fragment['trainable_params']:,} of "
@@ -89,7 +93,7 @@ def _cmd_train(args) -> None:
 
 def _cmd_eval(args) -> None:
     fragment = evaluate_checkpoint(
-        args.checkpoint, Path(args.data), args.domain, args.split,
+        args.checkpoint, args.data, args.domain, args.split,
         seed=args.seed, report_path=args.report,
     )
     print(
@@ -100,7 +104,7 @@ def _cmd_eval(args) -> None:
 
 def _cmd_ttda(args) -> None:
     cfg = load_config(args.config)
-    fragment = run_ttda(args.checkpoint, Path(args.data), cfg, report_path=args.report)
+    fragment = run_ttda(args.checkpoint, args.data, cfg, report_path=args.report)
     print(
         f"{fragment['method']} adapted on {fragment['split']}: IoU "
         f"{fragment['mean_iou_before']:.4f} -> {fragment['mean_iou_after']:.4f}, "
@@ -111,7 +115,7 @@ def _cmd_ttda(args) -> None:
 
 def _cmd_ablate(args) -> None:
     cfg = load_config(args.config)
-    report = run_ablation(cfg, Path(args.data), args.axis, Path(args.out))
+    report = run_ablation(cfg, args.data, args.axis, args.out)
     for name, row in report["summary"].items():
         print(
             f"{name}: source {row['source_iou_mean']:.4f} ± {row['source_iou_std']:.4f}, "
@@ -121,7 +125,7 @@ def _cmd_ablate(args) -> None:
 
 
 def _cmd_report(args) -> None:
-    print(emit_report(Path(args.run), fmt=args.format))
+    print(emit_report(args.run, fmt=args.format))
 
 
 def _cmd_paramcount(args) -> None:

@@ -8,7 +8,6 @@ absent keys fall back to the section defaults.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -17,9 +16,11 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 from .adapter import METHODS, AdapterConfig, LoraConfig
 from .data import DomainConfig, SplitSizes, default_source_domain, default_target_domain
+from .data import read_json_object, write_json
 from .errors import ValidationError
 from .losses import LossConfig
 from .model import ModelConfig
+from .params import check_seed
 
 CONFIG_VERSION = 1
 
@@ -47,8 +48,7 @@ class TrainSettings:
             raise ValidationError(f"method {self.method!r} not one of {METHODS}")
         if self.lr <= 0 or self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("lr must be positive; epochs and batch_size at least 1")
-        if self.seed < 0:
-            raise ValidationError(f"train seed must be >= 0, got {self.seed}")
+        check_seed(self.seed, "train seed")
         if self.weight_decay < 0:
             raise ValidationError(f"weight_decay must be non-negative, got {self.weight_decay}")
         if self.max_train_samples is not None and self.max_train_samples < 1:
@@ -76,8 +76,7 @@ class TTDASettings:
             raise ValidationError(f"iterations must be >= 1, got {self.iterations}")
         if self.lr <= 0:
             raise ValidationError(f"lr must be positive, got {self.lr}")
-        if self.seed < 0:
-            raise ValidationError(f"ttda seed must be >= 0, got {self.seed}")
+        check_seed(self.seed, "ttda seed")
         if min(self.lambda_entropy, self.lambda_proximity, self.lambda_contrastive) < 0:
             raise ValidationError("TTDA loss weights must be non-negative")
         if not 0 < self.positive_offset < self.negative_min_offset:
@@ -219,17 +218,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_bytes())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config {path} is not valid JSON: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"config {path} is not UTF-8 at offset {exc.start}") from None
-    return config_from_dict(doc)
+    return config_from_dict(read_json_object(path, "config"))
 
 
 def save_config(path: str | Path, cfg: RunConfig) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True))
+    write_json(path, config_to_dict(cfg))

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 
 from .errors import ContractError, FormatError, ValidationError
+from .params import check_seed
 
 SLICES_PER_VOLUME = 10
 
@@ -77,8 +78,7 @@ class DomainConfig:
     def validate(self) -> None:
         if self.image_size < 8:
             raise ValidationError(f"image_size {self.image_size} too small")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed, f"domain {self.name!r} seed")
         lo, hi = self.num_blobs
         if not 1 <= lo <= hi:
             raise ValidationError(f"num_blobs range {self.num_blobs} invalid")
@@ -341,11 +341,11 @@ def sample_from_bytes(blob: bytes, domain: str = "") -> Sample:
 
 
 def write_sample(path: str | Path, sample: Sample) -> None:
-    Path(path).write_bytes(sample_to_bytes(sample))
+    write_file(path, sample_to_bytes(sample))
 
 
 def read_sample(path: str | Path, domain: str = "") -> Sample:
-    return sample_from_bytes(Path(path).read_bytes(), domain=domain)
+    return sample_from_bytes(read_file(path, "sample"), domain=domain)
 
 
 # -- dataset generation ----------------------------------------------------------
@@ -405,7 +405,6 @@ def generate_dataset(
             )
 
     root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
     next_seed = 0
 
     def allocate(count: int) -> list[int]:
@@ -430,8 +429,6 @@ def generate_dataset(
     splits: dict[str, dict] = {}
     for split, seeds in seed_plan.items():
         dom = domains[split.split("_")[0]]
-        split_dir = root / split
-        split_dir.mkdir(exist_ok=True)
         volumes: dict[str, list[str]] = {}
         for volume_seed in seeds:
             paths = []
@@ -453,18 +450,43 @@ def generate_dataset(
         "domains": {key: asdict(cfg) for key, cfg in domains.items()},
         "splits": splits,
     }
-    (root / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    write_json(root / MANIFEST_NAME, manifest)
     return manifest
 
 
-def read_json_object(path: Path, what: str) -> dict:
-    """Parse a JSON file that must hold an object.
-
-    Bytes that are not UTF-8 or not JSON are a FormatError with the offset;
-    any other document is a ValidationError naming the path.
-    """
+def read_file(path: str | Path, what: str) -> bytes:
+    """The one reader of a path a user names; a bad one is a ValidationError naming it."""
     try:
-        doc = json.loads(path.read_bytes())
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        raise ValidationError(f"{what} not found: {path}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ValidationError(f"{what} {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def write_file(path: str | Path, data: bytes) -> None:
+    """The one writer, likewise.  Parent directories are made only when a write
+    finds them missing, so a directory of many files costs one mkdir, not one per file."""
+    path = Path(path)
+    try:
+        try:
+            path.write_bytes(data)
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def write_json(path: str | Path, doc) -> None:
+    write_file(path, json.dumps(doc, indent=2, sort_keys=True).encode())
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """Parse a JSON file that must hold an object: bytes that are not UTF-8 or
+    not JSON are a FormatError with the offset, any other document a ValidationError."""
+    try:
+        doc = json.loads(read_file(path, what))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{what} {path} is not JSON at offset {exc.pos}: {exc.msg}") from None
     except UnicodeDecodeError as exc:
@@ -486,8 +508,6 @@ def _require(doc: dict, key: str, kind: type, where: str):
 
 def load_manifest(root: str | Path) -> dict:
     path = Path(root) / MANIFEST_NAME
-    if not path.exists():
-        raise ValidationError(f"no {MANIFEST_NAME} under {Path(root)}")
     manifest = read_json_object(path, "manifest")
     version = manifest.get("format_version")
     if version != MANIFEST_VERSION:
@@ -528,9 +548,6 @@ def load_split(root: str | Path, manifest: dict, split: str) -> list[Sample]:
         )
     samples = []
     for rel, path in paths:
-        try:
-            blob = path.read_bytes()
-        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-            raise ValidationError(f"split {split!r} lists {rel!r}, which cannot be read: {exc}") from None
+        blob = read_file(path, f"split {split!r} lists {rel!r}, which cannot be read: sample")
         samples.append(sample_from_bytes(blob, domain=domain))
     return samples

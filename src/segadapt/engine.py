@@ -37,11 +37,11 @@ from .checkpoint import (
     dump_bytes,
     first_difference,
     float32_bytes,
-    load,
+    load_bytes,
     restore,
 )
 from .config import RunConfig, config_to_dict, overlay
-from .data import Sample, load_manifest, load_split, read_json_object
+from .data import Sample, load_manifest, load_split, read_file, read_json_object, write_file, write_json
 from .errors import ContractError, IntegrityError, ValidationError
 from .losses import (
     compute_iou,
@@ -201,6 +201,17 @@ def _meta_path(checkpoint: str | Path) -> Path:
     return Path(str(checkpoint) + ".meta.json")
 
 
+def _sidecar(method, model_cfg, adapter_cfg, lora_cfg, seed) -> dict:
+    return {
+        "meta_version": META_VERSION,
+        "method": method,
+        "seed": seed,
+        "model": asdict(model_cfg),
+        "adapter": asdict(adapter_cfg) if adapter_cfg else None,
+        "lora": asdict(lora_cfg) if lora_cfg else None,
+    }
+
+
 def save_checkpoint(
     checkpoint: str | Path,
     weights: bytes,
@@ -210,28 +221,15 @@ def save_checkpoint(
     lora_cfg: LoraConfig | None,
     seed: int,
 ) -> None:
-    path = Path(checkpoint)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(weights)
-    meta = {
-        "meta_version": META_VERSION,
-        "method": method,
-        "seed": seed,
-        "model": asdict(model_cfg),
-        "adapter": asdict(adapter_cfg) if adapter_cfg else None,
-        "lora": asdict(lora_cfg) if lora_cfg else None,
-    }
-    _meta_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True))
+    write_file(checkpoint, weights)
+    write_json(_meta_path(checkpoint), _sidecar(method, model_cfg, adapter_cfg, lora_cfg, seed))
 
 
 def load_model(checkpoint: str | Path) -> tuple[SegmentationModel, dict]:
     """Rebuild the trained model from a checkpoint plus its JSON sidecar."""
-    path = Path(checkpoint)
-    if not path.exists():
-        raise ValidationError(f"checkpoint not found: {path}")
-    meta_path = _meta_path(path)
-    if not meta_path.exists():
-        raise ValidationError(f"checkpoint sidecar not found: {meta_path}")
+    # Parsed first, so a missing checkpoint is named as one; its raw bytes are dropped here.
+    values = load_bytes(read_file(checkpoint, "checkpoint"))
+    meta_path = _meta_path(checkpoint)
     meta = read_json_object(meta_path, "checkpoint sidecar")
     if meta.get("meta_version") != META_VERSION:
         raise ValidationError(f"unsupported checkpoint meta version in {meta_path}")
@@ -243,7 +241,6 @@ def load_model(checkpoint: str | Path) -> tuple[SegmentationModel, dict]:
     model_cfg = overlay(ModelConfig(), meta["model"])
     adapter_cfg = overlay(AdapterConfig(), meta["adapter"]) if meta.get("adapter") else None
     lora_cfg = overlay(LoraConfig(), meta["lora"]) if meta.get("lora") else None
-    values = load(path)
     # Each parameter is checked against the checkpoint as it is declared, so
     # a sidecar that describes another model costs no more than the
     # checkpoint.  restore below is strict, so it replaces every value:
@@ -300,7 +297,6 @@ def train_supervised(cfg: RunConfig, data_root: str | Path, out_dir: str | Path)
     into out_dir.
     """
     cfg.validate()
-    data_root = Path(data_root)
     out_dir = Path(out_dir)
     manifest = load_manifest(data_root)
     train_samples = load_split(data_root, manifest, "source_train")
@@ -316,13 +312,14 @@ def train_supervised(cfg: RunConfig, data_root: str | Path, out_dir: str | Path)
     # An init_from checkpoint replaces every value before the method attaches.
     model = SegmentationModel(cfg.model, draw=not cfg.train.init_from)
     if cfg.train.init_from:
-        init_path = Path(cfg.train.init_from)
-        if not init_path.exists():
-            raise ValidationError(f"init_from checkpoint not found: {init_path}")
-        restore(model.registry, init_path)
+        restore(model.registry, read_file(cfg.train.init_from, "init_from checkpoint"))
     adapter_cfg, lora_cfg = attach_method(
         model, cfg.train.method, cfg.adapter, cfg.lora, seed=cfg.train.seed
     )
+    # Writing the sidecar now makes out_dir, so a bad one fails before any training.
+    seed = cfg.train.seed
+    checkpoint = out_dir / "checkpoint.sdck"
+    write_json(_meta_path(checkpoint), _sidecar(cfg.train.method, cfg.model, adapter_cfg, lora_cfg, seed))
     trainable, total = model.registry.param_count(trainable_only=True), model.registry.param_count()
 
     # Compared as checkpoint bytes: a NaN that never moves passes, a 0.0 that
@@ -334,8 +331,7 @@ def train_supervised(cfg: RunConfig, data_root: str | Path, out_dir: str | Path)
     }
 
     opt = AdamWState(lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence([_SHUFFLE_TAG, cfg.train.seed]))
-    seed = cfg.train.seed
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence([_SHUFFLE_TAG, seed]))
     inputs = _frozen_inputs(model, seed)
 
     val = evaluate_model(model, val_samples, seed, inputs)
@@ -375,9 +371,7 @@ def train_supervised(cfg: RunConfig, data_root: str | Path, out_dir: str | Path)
         if float32_bytes(model.registry.get(name).data) != before:
             raise ContractError(f"frozen parameter {name!r} changed during training")
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    checkpoint = out_dir / "checkpoint.sdck"
-    save_checkpoint(checkpoint, best_bytes, cfg.train.method, cfg.model, adapter_cfg, lora_cfg, seed)
+    write_file(checkpoint, best_bytes)
     fragment = {
         "kind": "train",
         "method": cfg.train.method,
@@ -391,7 +385,7 @@ def train_supervised(cfg: RunConfig, data_root: str | Path, out_dir: str | Path)
         "checkpoint": str(checkpoint),
         "config": config_to_dict(cfg),
     }
-    (out_dir / "fragment_train.json").write_text(json.dumps(fragment, indent=2, sort_keys=True))
+    write_json(out_dir / "fragment_train.json", fragment)
     return fragment
 
 
@@ -404,7 +398,6 @@ def evaluate_checkpoint(
     report_path: str | Path | None = None,
 ) -> dict:
     check_seed(seed, "eval seed")
-    data_root = Path(data_root)
     manifest = load_manifest(data_root)
     if domain not in manifest["domains"]:
         raise ValidationError(
@@ -427,8 +420,7 @@ def evaluate_checkpoint(
         "checkpoint": str(checkpoint),
     }
     if report_path is not None:
-        Path(report_path).parent.mkdir(parents=True, exist_ok=True)
-        Path(report_path).write_text(json.dumps(fragment, indent=2, sort_keys=True))
+        write_json(report_path, fragment)
     return fragment
 
 
@@ -546,7 +538,6 @@ def run_ttda(
     """
     cfg.validate()
     settings = cfg.ttda
-    data_root = Path(data_root)
     manifest = load_manifest(data_root)
     samples = load_split(data_root, manifest, settings.split)
 
@@ -593,8 +584,7 @@ def run_ttda(
         "config": config_to_dict(cfg),
     }
     if report_path is not None:
-        Path(report_path).parent.mkdir(parents=True, exist_ok=True)
-        Path(report_path).write_text(json.dumps(fragment, indent=2, sort_keys=True))
+        write_json(report_path, fragment)
     return fragment
 
 
@@ -667,8 +657,7 @@ def run_ablation(
             "trainable_params": rows[0]["trainable_params"],
         }
     report = {"kind": "ablation", "axis": axis, "runs": runs, "summary": summary}
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"ablation_{axis}.json").write_text(json.dumps(report, indent=2, sort_keys=True))
+    write_json(out_dir / f"ablation_{axis}.json", report)
     return report
 
 
@@ -731,9 +720,9 @@ def collect_fragments(run_dir: str | Path) -> list[dict]:
     the report reads; a malformed one is a ValidationError naming path and key."""
     run_dir = Path(run_dir)
     fragments = []
-    for path in sorted(run_dir.rglob("*.json")):
+    for path in sorted(p for p in run_dir.rglob("*.json") if p.is_file()):
         try:
-            doc = json.loads(path.read_bytes())
+            doc = json.loads(read_file(path, "fragment"))
         except (json.JSONDecodeError, UnicodeDecodeError):
             continue
         kind = doc.get("kind") if isinstance(doc, dict) else None

@@ -1,7 +1,8 @@
 """Shared exception types.
 
-The command line maps ValidationError/FormatError/DimensionError/ContractError
-to exit code 1 and IntegrityError to exit code 2; anything else is a bug.
+The command line exits 1 on ValidationError/FormatError/DimensionError/ContractError
+(a bad path is a ValidationError naming it), 2 on IntegrityError, 64 on bad
+arguments and 0 on success; anything else is a bug.
 """
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .losses import mask_from_logits
-from .params import Init, ParameterRegistry
+from .params import Init, ParameterRegistry, check_seed
 from .tensor import (
     Tensor,
     attention,
@@ -58,8 +58,7 @@ class ModelConfig:
         if min(self.enc_dim, self.enc_heads, self.enc_depth,
                self.dec_dim, self.dec_heads, self.dec_depth, self.mlp_ratio) < 1:
             raise ValidationError("dims, heads, depths and mlp_ratio must be >= 1")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed, "model seed")
         if self.enc_dim % self.enc_heads:
             raise ValidationError(f"enc_dim {self.enc_dim} not divisible by enc_heads {self.enc_heads}")
         if self.dec_dim % self.dec_heads:

@@ -192,10 +192,113 @@ class TestExitCodes:
         assert "seed" in capsys.readouterr().err
 
     def test_unknown_command_rejected(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
+        assert exc.value.code == 64
 
     def test_ablate_axis_choices(self, env):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["ablate", "--axis", "depth", "--config", env["config"],
                   "--data", env["data"], "--out", "x"])
+        assert exc.value.code == 64
+
+    def test_help_is_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+
+# Each subcommand's path arguments and the role each plays; the arguments not
+# under test take the module run's good values.
+PATH_ARGS = {
+    "gen-data": [("--config", "in-file"), ("--out", "out-dir")],
+    "train": [("--config", "in-file"), ("--data", "in-dir"), ("--out", "out-dir")],
+    "eval": [("--checkpoint", "in-file"), ("--data", "in-dir"), ("--report", "out-file")],
+    "ttda": [("--checkpoint", "in-file"), ("--data", "in-dir"), ("--config", "in-file"), ("--report", "out-file")],
+    "ablate": [("--config", "in-file"), ("--data", "in-dir"), ("--out", "out-dir")],
+    "report": [("--run", "in-dir")],
+    "paramcount": [("--config", "in-file")],
+}
+FIXED_ARGS = {"eval": ["--domain", "source"], "ablate": ["--axis", "placement"]}
+# A missing output path is made, so it is no bad kind for an output.
+BAD_KINDS = {
+    "in-file": ("missing", "a-directory", "under-a-file"),
+    "in-dir": ("missing", "a-file", "under-a-file"),
+    "out-dir": ("a-file", "under-a-file"),
+    "out-file": ("a-directory", "under-a-file"),
+}
+BAD_PATH_CASES = [
+    (command, flag, kind)
+    for command, args in PATH_ARGS.items()
+    for flag, role in args
+    for kind in BAD_KINDS[role]
+]
+
+
+def _bad_path(root: Path, kind: str) -> Path:
+    a_file, a_directory = root / "a-file", root / "a-directory"
+    a_file.write_text("x")
+    a_directory.mkdir()
+    return {
+        "missing": root / "absent",
+        "a-file": a_file,
+        "a-directory": a_directory,
+        "under-a-file": a_file / "x",
+    }[kind]
+
+
+def _exits_one_with_one_error_line(argv, capsys) -> None:
+    code = main(argv)  # an undocumented exception escapes here as a test error
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err, err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1, err
+
+
+class TestBadPaths:
+    @pytest.mark.parametrize("command, flag, kind", BAD_PATH_CASES, ids=["-".join(c) for c in BAD_PATH_CASES])
+    def test_each_bad_path_exits_one_with_one_error_line(self, env, capsys, tmp_path, command, flag, kind):
+        good = {
+            "--config": env["config"], "--data": env["data"], "--checkpoint": env["checkpoint"],
+            "--run": env["run"], "--out": str(tmp_path / "out"), "--report": str(tmp_path / "report.json"),
+        }
+        good[flag] = str(_bad_path(tmp_path, kind))
+        argv = [command, *FIXED_ARGS.get(command, [])]
+        for arg, _ in PATH_ARGS[command]:
+            argv += [arg, good[arg]]
+        _exits_one_with_one_error_line(argv, capsys)
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_a_bad_out_fails_before_the_first_evaluation(self, env, capsys, tmp_path, monkeypatch, command):
+        import segadapt.engine as engine
+
+        monkeypatch.setattr(engine, "evaluate_model", lambda *args: pytest.fail("evaluated before writing out"))
+        argv = [command, *FIXED_ARGS.get(command, []), "--config", env["config"], "--data", env["data"],
+                "--out", str(_bad_path(tmp_path, "a-file"))]
+        _exits_one_with_one_error_line(argv, capsys)
+
+    def test_a_directory_init_from_exits_one(self, env, capsys, tmp_path):
+        doc = json.loads(Path(env["config"]).read_text())
+        doc["train"]["init_from"] = str(tmp_path)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(doc))
+        argv = ["train", "--config", str(config), "--data", env["data"], "--out", str(tmp_path / "out")]
+        _exits_one_with_one_error_line(argv, capsys)
+        assert not (tmp_path / "out").exists()  # refused before anything is written
+
+    def test_a_directory_checkpoint_with_a_sidecar_beside_it_exits_one(self, env, capsys, tmp_path):
+        (tmp_path / "ckpt").mkdir()
+        (tmp_path / "ckpt.meta.json").write_bytes(Path(env["checkpoint"] + ".meta.json").read_bytes())
+        argv = ["eval", "--checkpoint", str(tmp_path / "ckpt"), "--data", env["data"], "--domain", "source"]
+        _exits_one_with_one_error_line(argv, capsys)
+
+    def test_a_directory_manifest_exits_one(self, env, capsys, tmp_path):
+        (tmp_path / "manifest.json").mkdir()
+        argv = ["eval", "--checkpoint", env["checkpoint"], "--data", str(tmp_path), "--domain", "source"]
+        _exits_one_with_one_error_line(argv, capsys)
+
+    def test_report_skips_a_directory_named_like_a_fragment(self, env, capsys, tmp_path):
+        (tmp_path / "sub.json").mkdir()
+        _exits_one_with_one_error_line(["report", "--run", str(tmp_path)], capsys)
+        (tmp_path / "fragment_train.json").write_bytes((Path(env["run"]) / "fragment_train.json").read_bytes())
+        assert main(["report", "--run", str(tmp_path)]) == 0

@@ -6,13 +6,17 @@ import pytest
 from segadapt.config import (
     CONFIG_VERSION,
     RunConfig,
+    TrainSettings,
+    TTDASettings,
     config_from_dict,
     config_to_dict,
     default_config,
     load_config,
     save_config,
 )
-from segadapt.errors import ValidationError
+from segadapt.data import DomainConfig, default_source_domain, generate_dataset
+from segadapt.errors import FormatError, ValidationError
+from segadapt.model import ModelConfig
 
 
 class TestDefaults:
@@ -93,7 +97,7 @@ class TestFileErrors:
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        with pytest.raises(ValidationError, match="not valid JSON"):
+        with pytest.raises(FormatError, match="not JSON at offset 1"):
             load_config(path)
 
 
@@ -180,6 +184,22 @@ class TestSettingValidation:
         doc = config_to_dict(cfg)
         json.dumps(doc)
         assert doc["train"]["init_from"] == str(tmp_path / "base.sdck")
+
+
+class TestSeedRule:
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    @pytest.mark.parametrize(
+        "settings",
+        [ModelConfig(), default_source_domain(), TrainSettings(), TTDASettings()],
+        ids=["model", "domain", "train", "ttda"],
+    )
+    def test_every_seeded_setting_refuses_what_check_seed_refuses(self, settings, seed):
+        with pytest.raises(ValidationError, match="seed must be an int >= 0"):
+            replace(settings, seed=seed).validate()
+
+    def test_generate_dataset_refuses_a_fractional_domain_seed(self, tmp_path):
+        with pytest.raises(ValidationError, match="'source' seed"):
+            generate_dataset(tmp_path, source=DomainConfig(name="source", seed=1.5))
 
 
 class TestFrozen:

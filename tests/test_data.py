@@ -1,6 +1,7 @@
 """Synthetic volumes: determinism, paired domains, slice coherence, SDIM I/O."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +219,15 @@ class TestDatasetGeneration:
             files = [p for paths in entry["volumes"].values() for p in paths]
             assert len(files) == expect
             assert all((tmp_path / p).exists() for p in files)
+
+    def test_each_directory_is_made_once_not_once_per_file(self, tmp_path, monkeypatch):
+        made = []
+        real_mkdir = Path.mkdir
+        monkeypatch.setattr(Path, "mkdir", lambda path, *a, **k: made.append(path) or real_mkdir(path, *a, **k))
+        manifest = generate_dataset(tmp_path / "data", sizes=SMALL)
+        assert set(made) == {tmp_path / "data", *(tmp_path / "data" / split for split in manifest["splits"])}
+        # Path.mkdir(parents=True) retries a directory once after making its parent.
+        assert len(made) <= 2 * len(set(made))
 
     def test_volumes_never_straddle_splits(self, tmp_path):
         manifest = generate_dataset(tmp_path, sizes=SMALL)
