@@ -7,7 +7,7 @@ Layout, all little-endian:
             prod(extents) * f32 values (row-major)
 
 Parameters are written in sorted-name order and values are stored as float32
-regardless of the in-memory precision, so a save/load/save cycle is
+regardless of the in-memory precision, so a dump/load/dump cycle is
 byte-exact.
 """
 
@@ -18,7 +18,6 @@ import struct
 
 import numpy as np
 
-from .data import read_file, write_file
 from .errors import ContractError, FormatError
 from .params import ParameterRegistry
 
@@ -80,10 +79,6 @@ def first_difference(
     return None
 
 
-def save(path, registry: ParameterRegistry) -> None:
-    write_file(path, dump_bytes(registry))
-
-
 class _Reader:
     def __init__(self, data: bytes):
         self.data = data
@@ -132,25 +127,12 @@ def load_bytes(data: bytes) -> dict[str, np.ndarray]:
     return out
 
 
-def load(path) -> dict[str, np.ndarray]:
-    return load_bytes(read_file(path, "checkpoint"))
-
-
-def restore(registry: ParameterRegistry, source, strict: bool = True) -> None:
-    """Copy checkpoint values into a registry (casting to its dtype).
-
-    ``source`` is a path, raw bytes, or a dict from ``load``.  With
+def restore(registry: ParameterRegistry, values: dict[str, np.ndarray], strict: bool = True) -> None:
+    """Copy ``values`` (as ``load_bytes`` returns them) into the registry's
+    arrays, cast to its dtype; the caller's arrays are never kept.  With
     ``strict`` every registry parameter must be present and no stored name
     may be unknown.
     """
-    # A parsed source's arrays are private to this call, so a matching dtype
-    # need not be copied again; a caller's dict keeps its own arrays.
-    if isinstance(source, (bytes, bytearray)):
-        values, copy = load_bytes(bytes(source)), False
-    elif isinstance(source, dict):
-        values, copy = source, True
-    else:
-        values, copy = load(source), False
     names = registry.names()
     if strict:
         missing = [n for n in names if n not in values]
@@ -168,5 +150,4 @@ def restore(registry: ParameterRegistry, source, strict: bool = True) -> None:
                 f"registry {registry.get(name).shape}"
             )
     for name in present:
-        data = values[name].astype(registry.dtype, copy=copy)
-        registry.get(name).data = np.ascontiguousarray(data).reshape(data.shape)
+        np.copyto(registry.get(name).data, values[name], casting="unsafe")

@@ -312,7 +312,7 @@ def train_supervised(cfg: RunConfig, data_root: str | Path, out_dir: str | Path)
     # An init_from checkpoint replaces every value before the method attaches.
     model = SegmentationModel(cfg.model, draw=not cfg.train.init_from)
     if cfg.train.init_from:
-        restore(model.registry, read_file(cfg.train.init_from, "init_from checkpoint"))
+        restore(model.registry, load_bytes(read_file(cfg.train.init_from, "init_from checkpoint")))
     adapter_cfg, lora_cfg = attach_method(
         model, cfg.train.method, cfg.adapter, cfg.lora, seed=cfg.train.seed
     )
@@ -398,6 +398,8 @@ def evaluate_checkpoint(
     report_path: str | Path | None = None,
 ) -> dict:
     check_seed(seed, "eval seed")
+    if report_path is not None:
+        write_file(report_path, b"")  # a path that cannot be written fails before the pass
     manifest = load_manifest(data_root)
     if domain not in manifest["domains"]:
         raise ValidationError(
@@ -537,6 +539,8 @@ def run_ttda(
     aborts the run.
     """
     cfg.validate()
+    if report_path is not None:
+        write_file(report_path, b"")  # a path that cannot be written fails before the pass
     settings = cfg.ttda
     manifest = load_manifest(data_root)
     samples = load_split(data_root, manifest, settings.split)

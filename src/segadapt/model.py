@@ -143,8 +143,8 @@ class SegmentationModel:
     With ``draw=False`` the parameters are declared but not drawn from
     ``cfg.seed``: every value stays zero, for a caller that restores all of
     them from a checkpoint (strictly, so none is left at zero) or only
-    counts them.  ``expected`` becomes the registry's (see
-    ``ParameterRegistry``).
+    counts them.  The restore writes into the arrays declared here.
+    ``expected`` becomes the registry's (see ``ParameterRegistry``).
     """
 
     def __init__(

@@ -79,11 +79,20 @@ class Parameter:
     name: str
     tensor: Tensor
     init: Init
-    trainable: bool = True
+
+    @property
+    def trainable(self) -> bool:
+        return self.tensor.requires_grad
 
 
 class ParameterRegistry:
     """Flat mapping of dotted-path names to parameters.
+
+    ``add`` allocates each parameter's one array.  ``initialize`` and
+    ``checkpoint.restore`` write values into it; only AdamW's gather
+    (``_Bucket``) rebinds a ``.data``, to a view of its flat buffer that
+    holds the same values.  A parameter trains exactly when its tensor
+    ``requires_grad``.
 
     While ``expected`` maps names to shapes (those of a checkpoint the
     registry is built for), ``add`` refuses with ContractError, before it
@@ -99,7 +108,7 @@ class ParameterRegistry:
         self.expected = expected
         self._params: dict[str, Parameter] = {}
 
-    def add(self, name: str, shape: tuple[int, ...], init: Init, trainable: bool = True) -> Parameter:
+    def add(self, name: str, shape: tuple[int, ...], init: Init) -> Parameter:
         if name in self._params:
             raise ContractError(f"duplicate parameter name {name!r}")
         if self.expected is not None:
@@ -109,8 +118,8 @@ class ParameterRegistry:
                 raise ContractError(
                     f"shape mismatch for {name!r}: checkpoint {self.expected[name]}, registry {tuple(shape)}"
                 )
-        tensor = Tensor(np.zeros(tuple(shape), dtype=self.dtype), requires_grad=trainable)
-        param = Parameter(name, tensor, init, trainable)
+        tensor = Tensor(np.zeros(tuple(shape), dtype=self.dtype), requires_grad=True)
+        param = Parameter(name, tensor, init)
         self._params[name] = param
         return param
 
@@ -120,8 +129,8 @@ class ParameterRegistry:
         Values are drawn in float64 and cast to the registry dtype so the two
         precisions see the same numbers (up to rounding).  Everything a draw
         could refuse is checked before the first value is drawn, so a call
-        that raises changes nothing; then each value is written as it is
-        drawn.
+        that raises changes nothing; then each value is written, as it is
+        drawn, into the parameter's own array.
         """
         check_seed(seed)
         names = sorted(self._params) if only is None else sorted(set(only))
@@ -130,8 +139,7 @@ class ParameterRegistry:
             param.init.check(param.tensor.shape)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         for param in params:
-            data = param.init.materialize(param.tensor.shape, rng, np.float64)
-            param.tensor.data = np.ascontiguousarray(data.astype(self.dtype)).reshape(data.shape)
+            param.tensor.data[...] = param.init.materialize(param.tensor.shape, rng, np.float64)
 
     # -- access ---------------------------------------------------------------
 
@@ -164,8 +172,7 @@ class ParameterRegistry:
 
     def set_trainable(self, predicate: Callable[[str], bool]) -> None:
         for param in self._params.values():
-            param.trainable = bool(predicate(param.name))
-            param.tensor.requires_grad = param.trainable
+            param.tensor.requires_grad = bool(predicate(param.name))
 
     def zero_grads(self) -> None:
         for param in self._params.values():
@@ -260,7 +267,8 @@ def _gather(params: list[Parameter], dtype, state: AdamWState) -> list[_Bucket]:
 
 def _bound(buckets: list[_Bucket], params: list[Parameter]) -> bool:
     """Whether ``params`` are exactly the gathered parameters, each ``.data``
-    still the view it was bound to (``restore``, say, rebinds it)."""
+    still the view it was bound to.  ``restore`` and ``initialize`` write
+    into that view, so only a caller that assigns ``.data`` unbinds it."""
     members = [member for bucket in buckets for member in bucket.members]
     return len(params) == len(members) and all(
         p is q and p.tensor.data is view for p, (q, _, view) in zip(params, members)
@@ -277,9 +285,11 @@ def adamw_step(registry: ParameterRegistry, state: AdamWState) -> None:
     The update runs in place, bucket by bucket, with the same float ops in
     the same order per element as the textbook per-parameter form.
     Afterwards each trainable ``.data`` is a view into a bucket that later
-    steps overwrite, so a caller wanting a snapshot copies it.  Parameters
-    are gathered again, keeping their current values, whenever the
-    trainable set changed or a ``.data`` was rebound since the last step.
+    steps overwrite, so a caller wanting a snapshot copies it.  Values that
+    ``restore`` or ``initialize`` write between steps land in that view and
+    keep the buckets and moments.  Parameters are gathered again, keeping
+    their current values, whenever the trainable set changed or a caller
+    assigned a ``.data`` since the last step.
     """
     params = list(registry.trainable_parameters())
     for param in params:

@@ -268,13 +268,16 @@ class TestBadPaths:
             argv += [arg, good[arg]]
         _exits_one_with_one_error_line(argv, capsys)
 
-    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("command", ["train", "ablate", "eval", "ttda"])
     def test_a_bad_out_fails_before_the_first_evaluation(self, env, capsys, tmp_path, monkeypatch, command):
         import segadapt.engine as engine
 
-        monkeypatch.setattr(engine, "evaluate_model", lambda *args: pytest.fail("evaluated before writing out"))
-        argv = [command, *FIXED_ARGS.get(command, []), "--config", env["config"], "--data", env["data"],
-                "--out", str(_bad_path(tmp_path, "a-file"))]
+        for name in ("evaluate_model", "_ttda_sample"):
+            monkeypatch.setattr(engine, name, lambda *args, name=name: pytest.fail(f"{name} ran before writing out"))
+        good = {"--config": env["config"], "--data": env["data"], "--checkpoint": env["checkpoint"]}
+        argv = [command, *FIXED_ARGS.get(command, [])]
+        for arg, role in PATH_ARGS[command]:  # each command has one output path
+            argv += [arg, str(_bad_path(tmp_path, BAD_KINDS[role][0])) if role.startswith("out-") else good[arg]]
         _exits_one_with_one_error_line(argv, capsys)
 
     def test_a_directory_init_from_exits_one(self, env, capsys, tmp_path):

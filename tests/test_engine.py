@@ -14,7 +14,7 @@ import segadapt.engine as engine
 import segadapt.tensor as tensor
 from chains import ENGINE_LOSSES
 from segadapt.adapter import METHODS, trainable_predicate
-from segadapt.checkpoint import dump_bytes, load, restore
+from segadapt.checkpoint import dump_bytes, load_bytes, restore
 from segadapt.config import default_config
 from segadapt.data import SplitSizes, generate_dataset, load_manifest, load_split
 from segadapt.engine import (
@@ -301,7 +301,7 @@ def _perturbed_checkpoint(path, method):
 
 def _without(path, name):
     """Rewrite the checkpoint at ``path`` without parameter ``name``."""
-    values = load(path)
+    values = load_bytes(path.read_bytes())
     del values[name]
     reg = ParameterRegistry()
     for key, value in values.items():
@@ -318,7 +318,7 @@ class TestLoadModel:
         cfg = default_config()
         drawn = SegmentationModel(cfg.model)
         attach_method(drawn, method, cfg.adapter, cfg.lora)
-        restore(drawn.registry, ckpt)
+        restore(drawn.registry, load_bytes(ckpt.read_bytes()))
         assert model.registry.names() == drawn.registry.names()
         assert dump_bytes(model.registry) == dump_bytes(drawn.registry) == ckpt.read_bytes()
         trainable = [[p.trainable for p in m.registry.parameters()] for m in (model, drawn)]
@@ -447,7 +447,7 @@ class TestLoadModel:
         added = _count_calls(monkeypatch, ParameterRegistry, "add")
         with pytest.raises(ContractError, match=message):
             load_model(ckpt)
-        assert len(added) <= len(load(ckpt))
+        assert len(added) <= len(load_bytes(ckpt.read_bytes()))
 
     @pytest.mark.parametrize("method", ["sam_da_dec", "sam_da_enc", "lora"])
     def test_sidecar_without_method_config(self, workspace, tmp_path, method):

@@ -5,18 +5,22 @@ FormatError, DimensionError or ContractError (CLI exit 1) or IntegrityError
 (exit 2); anything else is a bug.  Each loader here gets valid bytes with a
 few random edits -- byte replacements, insertions, deletions, a truncation --
 and the JSON loaders also get valid documents with one value replaced or
-removed.  Examples are bounded so the module stays fast.
+removed.  The two writers of parameter values, ``restore`` and
+``initialize``, get wrong names, shapes, seeds and init kinds; a refused
+call must leave the registry as it was.  Examples are bounded so the module
+stays fast.
 """
 
 import json
 import shutil
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from segadapt.adapter import METHODS, AdapterConfig, LoraConfig
-from segadapt.checkpoint import dump_bytes, load_bytes
+from segadapt.checkpoint import dump_bytes, load_bytes, restore
 from segadapt.cli import main
 from segadapt.config import config_to_dict, default_config, load_config
 from segadapt.data import (
@@ -190,6 +194,77 @@ def test_load_model_raises_only_documented_errors_or_holds_the_checkpoint(tmp_pa
         return
     # Every value came from the checkpoint: none is left undrawn.
     assert dump_bytes(model.registry) == weights
+
+
+# -- the two writers of parameter values -----------------------------------------------
+
+
+def _writer_registry(extra_kind: str | None) -> ParameterRegistry:
+    reg = ParameterRegistry()
+    reg.add("a.weight", (3, 4), Init.lecun())
+    reg.add("a.bias", (4,), Init.zeros())
+    reg.add("gate", (), Init.zeros())
+    reg.add("mix", (2, 2), Init.identity())
+    reg.initialize(0)
+    if extra_kind is not None:  # declared after the draw: its kind may be one initialize refuses
+        reg.add("z.extra", (2, 3), Init(extra_kind))
+    reg.set_trainable(lambda name: name != "a.bias")
+    return reg
+
+
+def _state(reg):
+    return reg.names(), [p.trainable for p in reg.parameters()], [p.tensor.data for p in reg.parameters()]
+
+
+@st.composite
+def bad_values(draw, reg):
+    """The registry's values, shifted, with one to three edits: a name
+    dropped or unknown, a value of another shape or dtype."""
+    values = {name: value + 1.0 for name, value in load_bytes(dump_bytes(reg)).items()}
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(sorted(values) or ["gate"]))
+        kind = draw(st.sampled_from(("drop", "unknown", "reshape", "dtype")))
+        if kind == "unknown":
+            values[draw(st.sampled_from(("b.weight", "a", "zz")))] = np.zeros((2,), dtype=np.float32)
+        elif name in values and kind == "drop":
+            del values[name]
+        elif name in values and kind == "reshape":
+            shape = draw(st.sampled_from(((), (0,), (1,), (4, 3), (1, 3, 4), (2, 2, 1))))
+            values[name] = np.zeros(shape, dtype=np.float32)
+        elif name in values:
+            values[name] = values[name].astype(draw(st.sampled_from((np.float64, np.float16, np.int32))))
+    return values
+
+
+def _writes_in_place_or_refuses(reg, call, *args, **kwargs) -> None:
+    """``call`` raises nothing but a documented error, after which every
+    value is as it was; either way no parameter is renamed, retrained or
+    given another array."""
+    before, (names, trainable, arrays) = dump_bytes(reg), _state(reg)
+    try:
+        call(*args, **kwargs)
+    except DOCUMENTED:
+        assert dump_bytes(reg) == before
+    after_names, after_trainable, after_arrays = _state(reg)
+    assert after_names == names and after_trainable == trainable
+    assert all(a is b for a, b in zip(after_arrays, arrays))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_restore_refuses_with_a_documented_error_and_changes_nothing(data):
+    reg = _writer_registry(None)
+    values = data.draw(bad_values(reg))
+    _writes_in_place_or_refuses(reg, restore, reg, values, strict=data.draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_initialize_refuses_with_a_documented_error_and_changes_nothing(data):
+    reg = _writer_registry(data.draw(st.sampled_from((None, "zeros", "uniform", "identity", ""))))
+    seed = data.draw(st.one_of(st.integers(0, 2**64), st.sampled_from((-1, 1.5, True, "0", None, np.int64(3)))))
+    only = data.draw(st.none() | st.lists(st.sampled_from((*reg.names(), "a", "nope.weight")), max_size=4))
+    _writes_in_place_or_refuses(reg, reg.initialize, seed, only=only)
 
 
 # -- manifest -----------------------------------------------------------------------

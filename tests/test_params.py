@@ -7,7 +7,7 @@ from segadapt.config import default_config
 from segadapt.engine import attach_method
 from segadapt.errors import ContractError, ValidationError
 from segadapt.model import SegmentationModel
-from segadapt.params import BUCKET_ELEMENTS
+from segadapt.params import BUCKET_ELEMENTS, _bound
 
 
 def make_registry(order):
@@ -99,6 +99,20 @@ class TestRegistry:
         reg.set_trainable(lambda name: name.startswith("alpha."))
         assert reg.param_count(trainable_only=True) == 12
         assert not reg.get("beta.bias").requires_grad
+
+    def test_initialize_writes_into_each_declared_array(self):
+        reg = make_registry(["alpha.weight", "beta.bias", "gamma.embed"])
+        arrays, before = {name: reg.get(name).data for name in reg.names()}, dump_bytes(reg)
+        reg.initialize(seed=124)
+        assert all(reg.get(name).data is array for name, array in arrays.items())
+        assert dump_bytes(reg) != before
+
+    def test_trainability_is_the_tensor_flag(self):
+        reg = make_registry(["alpha.weight", "beta.bias"])
+        reg.set_trainable(lambda name: name == "beta.bias")
+        assert [(p.trainable, p.tensor.requires_grad) for p in reg.parameters()] == [(False, False), (True, True)]
+        with pytest.raises(AttributeError):
+            reg.param("alpha.weight").trainable = True
 
     def test_fill_missing_grads(self):
         reg = make_registry(["alpha.weight", "beta.bias", "gamma.embed"])
@@ -290,6 +304,32 @@ class TestFlatAdamW:
             adamw_step(reg, state)
             reference_step(weights, grads, m, v, step, 1e-2, 0.01)
             assert all(same_bits(reg.get(n).data, weights[n]) for n in trained)
+
+    def test_a_restore_between_steps_keeps_the_buckets_bound(self):
+        reg = model_registry("sam_da_dec")
+        params = list(reg.trainable_parameters())
+        trained = [p.name for p in params]
+        weights = {n: reg.get(n).data.copy() for n in trained}
+        state = AdamWState(lr=1e-2, weight_decay=0.01)
+        m, v = {}, {}
+        rng = np.random.default_rng(11)
+        for step in range(1, 6):
+            if step == 3:  # new values for every other trained parameter
+                buckets, views = state.buckets, [p.tensor.data for p in params]
+                values = {n: rng.standard_normal(weights[n].shape).astype(np.float32) for n in trained[::2]}
+                restore(reg, values, strict=False)
+                weights.update((n, value.copy()) for n, value in values.items())
+                assert all(p.tensor.data is view for p, view in zip(params, views))
+                assert _bound(state.buckets, params)
+            grads = self._grads(reg, rng)
+            for name, g in grads.items():
+                reg.get(name).grad = g
+            adamw_step(reg, state)
+            reference_step(weights, grads, m, v, step, 1e-2, 0.01)
+            if step >= 3:
+                assert state.buckets is buckets
+            assert all(same_bits(reg.get(n).data, weights[n]) for n in trained)
+            assert all(same_bits(state.m[n], m[n]) and same_bits(state.v[n], v[n]) for n in trained)
 
     def test_scratch_is_one_bucket_not_the_registry(self):
         reg = model_registry("full_ft")
