@@ -36,7 +36,7 @@ class AdapterConfig:
     encoder_adapted_blocks: int | None = None
     init_scale: float = 0.02
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.num_prompts < 1:
             raise ValidationError(f"num_prompts must be >= 1, got {self.num_prompts}")
         if min(self.prompt_dim, self.key_dim, self.value_dim) < 1:
@@ -64,7 +64,7 @@ class LoraConfig:
     alpha: float | None = None  # defaults to 2 * rank
     targets: tuple[str, ...] = ("query", "value")
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.rank < 1:
             raise ValidationError(f"rank must be >= 1, got {self.rank}")
         if not self.targets:
@@ -118,7 +118,6 @@ def adapter_apply(tokens: Tensor, registry: ParameterRegistry, scope: str) -> Te
 
 def attach_decoder_adapter(model: SegmentationModel, cfg: AdapterConfig, seed: int = 0) -> None:
     """One adapter per decoder layer, applied to the dense-embedding output."""
-    cfg.validate()
     if cfg.placement != "decoder":
         raise ValidationError(f"decoder attachment requires placement 'decoder', got {cfg.placement!r}")
     if model.dense_hook is not None:
@@ -134,7 +133,6 @@ def attach_decoder_adapter(model: SegmentationModel, cfg: AdapterConfig, seed: i
 
 def attach_encoder_adapter(model: SegmentationModel, cfg: AdapterConfig, seed: int = 0) -> None:
     """Adapters on the final encoder blocks, applied to each block's tokens."""
-    cfg.validate()
     if cfg.placement != "encoder":
         raise ValidationError(f"encoder attachment requires placement 'encoder', got {cfg.placement!r}")
     if model.encoder_hook is not None:
@@ -152,7 +150,6 @@ def attach_encoder_adapter(model: SegmentationModel, cfg: AdapterConfig, seed: i
 
 def attach_lora(model: SegmentationModel, cfg: LoraConfig, seed: int = 0) -> None:
     """Low-rank deltas on encoder attention projections; up-projection zero-init."""
-    cfg.validate()
     if model.lora_deltas:
         raise ContractError("model already has LoRA deltas")
     check_seed(seed)
@@ -200,7 +197,6 @@ def adapter_param_count(cfg: AdapterConfig, token_dim: int, layer_count: int) ->
     Per layer: prompt bank, gate, query/key/value/output projections (key
     carries no bias), and the square post projection.
     """
-    cfg.validate()
     per_layer = (
         cfg.num_prompts * cfg.prompt_dim
         + 1
@@ -215,5 +211,4 @@ def adapter_param_count(cfg: AdapterConfig, token_dim: int, layer_count: int) ->
 
 def lora_param_count(cfg: LoraConfig, dim: int, blocks: int) -> int:
     """r * (d_in + d_out) per targeted projection."""
-    cfg.validate()
     return cfg.rank * (dim + dim) * len(cfg.targets) * blocks

@@ -80,11 +80,13 @@ def first_difference(
 
 
 class _Reader:
+    """Hands out views of the blob: no read copies it."""
+
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.offset = 0
 
-    def read(self, n: int, what: str) -> bytes:
+    def read(self, n: int, what: str) -> memoryview:
         if self.offset + n > len(self.data):
             raise FormatError(
                 f"truncated checkpoint: needed {n} bytes for {what} at offset {self.offset}"
@@ -107,7 +109,7 @@ def load_bytes(data: bytes) -> dict[str, np.ndarray]:
         (name_len,) = struct.unpack("<H", r.read(2, "name length"))
         offset = r.offset
         try:
-            name = r.read(name_len, "name").decode("utf-8")
+            name = str(r.read(name_len, "name"), "utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"parameter name at offset {offset} is not valid UTF-8") from None
         if name in out:

@@ -15,9 +15,7 @@ from .model import SegmentationModel
 
 # The figure the reference implementation reports for its decoder adapter.
 PUBLISHED_ADAPTER_PARAMS = "0.66M"
-PUBLISHED_ADAPTER_DIMS = AdapterConfig(
-    num_prompts=2, prompt_dim=512, key_dim=256, value_dim=256, placement="decoder"
-)
+PUBLISHED_ADAPTER_DIMS = AdapterConfig()  # its defaults are the published dims
 PUBLISHED_TOKEN_DIM = 256
 PUBLISHED_LAYER_COUNT = 2
 

@@ -4,6 +4,10 @@ One document carries the model, adapter, LoRA, loss, data, training, and
 test-time-adaptation sections; each consumer reads only the sections it
 needs.  Parsing is strict: an unknown key or a bad version is an error, and
 absent keys fall back to the section defaults.
+
+Every section checks its own rules in ``__post_init__``, so a config that
+exists is valid however it was made -- parsed, constructed, or derived with
+``dataclasses.replace`` -- and no stage checks it again.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ class TrainSettings:
     # hold their largest edge; None trains on the whole split.
     max_train_samples: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.method not in METHODS:
             raise ValidationError(f"method {self.method!r} not one of {METHODS}")
         if self.lr <= 0 or self.epochs < 1 or self.batch_size < 1:
@@ -71,7 +75,7 @@ class TTDASettings:
     seed: int = 0
     split: str = "target_test"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.iterations < 1:
             raise ValidationError(f"iterations must be >= 1, got {self.iterations}")
         if self.lr <= 0:
@@ -92,11 +96,6 @@ class DataSettings:
     target: DomainConfig = default_target_domain()
     sizes: SplitSizes = SplitSizes()
 
-    def validate(self) -> None:
-        self.source.validate()
-        self.target.validate()
-        self.sizes.validate()
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -109,19 +108,14 @@ class RunConfig:
     train: TrainSettings = TrainSettings()
     ttda: TTDASettings = TTDASettings()
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
         if self.version != CONFIG_VERSION:
             raise ValidationError(
                 f"unsupported config version {self.version!r}; expected {CONFIG_VERSION}"
             )
-        self.model.validate()
-        self.adapter.validate()
-        self.lora.validate()
-        self.data.validate()
-        self.train.validate()
-        self.ttda.validate()
-        if self.loss.confidence_fraction <= 0 or self.loss.confidence_fraction > 1:
-            raise ValidationError("loss.confidence_fraction must be in (0, 1]")
+
+    def validate(self) -> "RunConfig":
+        """Kept for callers that chain it; every section checked itself when built."""
         return self
 
 
@@ -194,12 +188,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         target=overlay(base.data.target, data_doc.get("target", {})),
         sizes=overlay(base.data.sizes, data_doc.get("sizes", {})),
     )
-    cfg = RunConfig(
-        version=doc.get("version", CONFIG_VERSION),
-        data=data,
-        **sections,
-    )
-    return cfg.validate()
+    return RunConfig(version=doc.get("version", CONFIG_VERSION), data=data, **sections)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

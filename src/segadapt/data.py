@@ -74,8 +74,6 @@ class DomainConfig:
             v = getattr(self, field_name)
             if isinstance(v, list):
                 object.__setattr__(self, field_name, tuple(v))
-
-    def validate(self) -> None:
         if self.image_size < 8:
             raise ValidationError(f"image_size {self.image_size} too small")
         check_seed(self.seed, f"domain {self.name!r} seed")
@@ -225,7 +223,6 @@ def _render_mask(size: int, geo: _VolumeGeometry, slice_index: int) -> np.ndarra
 
 def generate_sample(dom: DomainConfig, volume_seed: int, slice_index: int) -> Sample:
     """One slice, fully determined by (dom, volume_seed, slice_index)."""
-    dom.validate()
     if not 0 <= slice_index < SLICES_PER_VOLUME:
         raise ValidationError(
             f"slice_index {slice_index} outside [0, {SLICES_PER_VOLUME})"
@@ -235,7 +232,6 @@ def generate_sample(dom: DomainConfig, volume_seed: int, slice_index: int) -> Sa
 
 def generate_volume(dom: DomainConfig, volume_seed: int) -> list[Sample]:
     """All slices of one volume, equal to ``generate_sample`` slice by slice."""
-    dom.validate()
     geo = _volume_geometry(dom, volume_seed)
     return [_render_slice(dom, geo, volume_seed, s) for s in range(SLICES_PER_VOLUME)]
 
@@ -365,7 +361,7 @@ class SplitSizes:
     target_val: int = 40
     target_test: int = 60
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for split, count in asdict(self).items():
             if count < 1:
                 raise ValidationError(f"split {split} must have at least one sample")
@@ -393,9 +389,6 @@ def generate_dataset(
     """
     source = source or default_source_domain()
     target = target or default_target_domain()
-    source.validate()
-    target.validate()
-    sizes.validate()
     if source.name == target.name:
         raise ValidationError("source and target domains need distinct names")
     for attr in ("image_size", "num_blobs", "blob_radius"):

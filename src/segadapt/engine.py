@@ -59,6 +59,7 @@ from .tensor import Tensor, backward, grad_enabled, no_grad
 
 _PROMPT_TAG = 0x70726F6D
 _SHUFFLE_TAG = 0x73687566
+PROMPT_JITTER = 2  # pixels an evaluation click may move off the centroid-nearest point
 
 META_VERSION = 1
 METHOD_SEEDS = (0, 1, 2, 3)
@@ -90,16 +91,16 @@ def prompt_rng(seed: int, volume_id: int, slice_index: int) -> np.random.Generat
     )
 
 
-def interior_prompt(mask: np.ndarray, rng: np.random.Generator, jitter: int = 2) -> PromptSet:
+def interior_prompt(mask: np.ndarray, rng: np.random.Generator) -> PromptSet:
     """One positive click: the interior point nearest the mask centroid,
-    jittered a couple of pixels but never off the mask."""
+    jittered up to ``PROMPT_JITTER`` pixels but never off the mask."""
     ys, xs = np.nonzero(mask)
     if ys.size == 0:
         raise ValidationError("cannot prompt an empty mask")
     cy, cx = ys.mean(), xs.mean()
     idx = int(np.argmin((ys - cy) ** 2 + (xs - cx) ** 2))
     y, x = int(ys[idx]), int(xs[idx])
-    dy, dx = (int(v) for v in rng.integers(-jitter, jitter + 1, size=2))
+    dy, dx = (int(v) for v in rng.integers(-PROMPT_JITTER, PROMPT_JITTER + 1, size=2))
     yj, xj = y + dy, x + dx
     h, w = mask.shape
     if 0 <= yj < h and 0 <= xj < w and mask[yj, xj]:
@@ -201,17 +202,6 @@ def _meta_path(checkpoint: str | Path) -> Path:
     return Path(str(checkpoint) + ".meta.json")
 
 
-def _sidecar(method, model_cfg, adapter_cfg, lora_cfg, seed) -> dict:
-    return {
-        "meta_version": META_VERSION,
-        "method": method,
-        "seed": seed,
-        "model": asdict(model_cfg),
-        "adapter": asdict(adapter_cfg) if adapter_cfg else None,
-        "lora": asdict(lora_cfg) if lora_cfg else None,
-    }
-
-
 def save_checkpoint(
     checkpoint: str | Path,
     weights: bytes,
@@ -222,7 +212,14 @@ def save_checkpoint(
     seed: int,
 ) -> None:
     write_file(checkpoint, weights)
-    write_json(_meta_path(checkpoint), _sidecar(method, model_cfg, adapter_cfg, lora_cfg, seed))
+    write_json(_meta_path(checkpoint), {
+        "meta_version": META_VERSION,
+        "method": method,
+        "seed": seed,
+        "model": asdict(model_cfg),
+        "adapter": asdict(adapter_cfg) if adapter_cfg else None,
+        "lora": asdict(lora_cfg) if lora_cfg else None,
+    })
 
 
 def load_model(checkpoint: str | Path) -> tuple[SegmentationModel, dict]:
@@ -296,7 +293,6 @@ def train_supervised(cfg: RunConfig, data_root: str | Path, out_dir: str | Path)
     the best-validation epoch as checkpoint + sidecar + a JSON fragment
     into out_dir.
     """
-    cfg.validate()
     out_dir = Path(out_dir)
     manifest = load_manifest(data_root)
     train_samples = load_split(data_root, manifest, "source_train")
@@ -316,10 +312,12 @@ def train_supervised(cfg: RunConfig, data_root: str | Path, out_dir: str | Path)
     adapter_cfg, lora_cfg = attach_method(
         model, cfg.train.method, cfg.adapter, cfg.lora, seed=cfg.train.seed
     )
-    # Writing the sidecar now makes out_dir, so a bad one fails before any training.
+    # Writing an empty checkpoint and its sidecar now makes out_dir, so a bad
+    # one fails before any training, and a run that fails leaves no earlier
+    # run's weights beside the new sidecar.
     seed = cfg.train.seed
     checkpoint = out_dir / "checkpoint.sdck"
-    write_json(_meta_path(checkpoint), _sidecar(cfg.train.method, cfg.model, adapter_cfg, lora_cfg, seed))
+    save_checkpoint(checkpoint, b"", cfg.train.method, cfg.model, adapter_cfg, lora_cfg, seed)
     trainable, total = model.registry.param_count(trainable_only=True), model.registry.param_count()
 
     # Compared as checkpoint bytes: a NaN that never moves passes, a 0.0 that
@@ -538,7 +536,6 @@ def run_ttda(
     every parameter's bytes are compared with the reference; any difference
     aborts the run.
     """
-    cfg.validate()
     if report_path is not None:
         write_file(report_path, b"")  # a path that cannot be written fails before the pass
     settings = cfg.ttda

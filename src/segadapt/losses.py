@@ -37,6 +37,18 @@ class LossConfig:
     confidence_fraction: float = 0.7
     temperature: float = 0.1
 
+    def __post_init__(self):
+        if min(self.dice_weight, self.ce_weight, self.iou_weight) < 0:
+            raise ValidationError("loss weights must be non-negative")
+        if self.dice_smooth < 0:
+            raise ValidationError(f"dice_smooth must be >= 0, got {self.dice_smooth}")
+        if self.focal_gamma < 0:
+            raise ValidationError(f"focal gamma must be >= 0, got {self.focal_gamma}")
+        if not 0 < self.confidence_fraction <= 1:
+            raise ValidationError(f"confidence_fraction must be in (0, 1], got {self.confidence_fraction}")
+        if self.temperature <= 0:
+            raise ValidationError(f"temperature must be positive, got {self.temperature}")
+
 
 def _check_target(logits: Tensor, target: np.ndarray) -> np.ndarray:
     target = np.asarray(target)

@@ -47,7 +47,7 @@ class ModelConfig:
     mlp_ratio: int = 4
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         # Sizes first: the divisibility checks below divide by them.
         if self.patch_size < 2 or self.patch_size & (self.patch_size - 1):
             raise ValidationError(f"patch_size {self.patch_size} must be a power of two >= 2")
@@ -155,7 +155,6 @@ class SegmentationModel:
         draw: bool = True,
         expected: Mapping[str, tuple[int, ...]] | None = None,
     ):
-        cfg.validate()
         self.cfg = cfg
         self.registry = ParameterRegistry(dtype=dtype, expected=expected)
         # Hook points used by the adapter/LoRA attachments.

@@ -191,6 +191,24 @@ class TestExitCodes:
         assert code == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "ttda"])
+    @pytest.mark.parametrize("loss", [{"temperature": 0}, {"dice_weight": -1}], ids=["temperature", "dice_weight"])
+    def test_a_bad_loss_value_is_one_before_any_data_or_checkpoint_is_read(
+        self, env, capsys, tmp_path, monkeypatch, command, loss
+    ):
+        import segadapt.engine as engine
+
+        for name in ("load_manifest", "load_model"):
+            monkeypatch.setattr(engine, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"loss": loss}))
+        argv = {
+            "train": ["train", "--data", env["data"], "--out", str(tmp_path / "out")],
+            "ttda": ["ttda", "--checkpoint", env["checkpoint"], "--data", env["data"]],
+        }[command]
+        _exits_one_with_one_error_line([*argv, "--config", str(config)], capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -195,11 +195,64 @@ class TestSeedRule:
     )
     def test_every_seeded_setting_refuses_what_check_seed_refuses(self, settings, seed):
         with pytest.raises(ValidationError, match="seed must be an int >= 0"):
-            replace(settings, seed=seed).validate()
+            replace(settings, seed=seed)
 
     def test_generate_dataset_refuses_a_fractional_domain_seed(self, tmp_path):
         with pytest.raises(ValidationError, match="'source' seed"):
             generate_dataset(tmp_path, source=DomainConfig(name="source", seed=1.5))
+
+
+# One bad value per config class, and every LossConfig rule: (the section's
+# path in the document, field, value).  The empty path is RunConfig itself.
+BAD_VALUES = [
+    (("model",), "patch_size", 3),
+    (("adapter",), "init_scale", 0.0),
+    (("lora",), "rank", 0),
+    (("loss",), "dice_weight", -1.0),
+    (("loss",), "ce_weight", -0.5),
+    (("loss",), "iou_weight", -1.0),
+    (("loss",), "dice_smooth", -1.0),
+    (("loss",), "focal_gamma", -1.0),
+    (("loss",), "confidence_fraction", 0.0),
+    (("loss",), "confidence_fraction", 1.5),
+    (("loss",), "temperature", 0.0),
+    (("loss",), "temperature", -0.1),
+    (("data", "source"), "gamma", 0.0),
+    (("data", "target"), "noise_sigma", -0.1),
+    (("data", "sizes"), "target_test", 25),
+    (("train",), "lr", 0.0),
+    (("ttda",), "iterations", 0),
+    ((), "version", 2),
+]
+
+
+def _section(path):
+    section = default_config()
+    for name in path:
+        section = getattr(section, name)
+    return section
+
+
+def _document(path, key, value):
+    doc = {key: value}
+    for name in reversed(path):
+        doc = {name: doc}
+    return doc
+
+
+class TestBuiltConfigIsValid:
+    @pytest.mark.parametrize(
+        "path, key, value", BAD_VALUES, ids=[".".join((*p, f"{k}={v}")) for p, k, v in BAD_VALUES]
+    )
+    def test_bad_value_refused_however_the_config_is_built(self, path, key, value):
+        section = _section(path)
+        required = {"name": section.name} if isinstance(section, DomainConfig) else {}
+        with pytest.raises(ValidationError):
+            type(section)(**required, **{key: value})
+        with pytest.raises(ValidationError):
+            replace(section, **{key: value})
+        with pytest.raises(ValidationError):
+            config_from_dict(_document(path, key, value))
 
 
 class TestFrozen:

@@ -69,9 +69,8 @@ class TestGeneration:
         ],
     )
     def test_invalid_domain_rejected(self, overrides):
-        cfg = DomainConfig(name="bad", **overrides)
         with pytest.raises(ValidationError):
-            cfg.validate()
+            DomainConfig(name="bad", **overrides)
 
     def test_degradation_free_image_is_piecewise_constant(self):
         dom = DomainConfig(
@@ -350,7 +349,7 @@ class TestDatasetGeneration:
 
     def test_indivisible_split_size_rejected(self):
         with pytest.raises(ValidationError, match="divisible"):
-            SplitSizes(source_train=25).validate()
+            SplitSizes(source_train=25)
 
     def test_mismatched_shape_statistics_rejected(self, tmp_path):
         bad_target = DomainConfig(name="target", blob_radius=(3.0, 8.0))

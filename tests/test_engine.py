@@ -239,6 +239,20 @@ class TestTrainSupervised:
         with pytest.raises(ValidationError, match=r"non-finite training loss .* epoch 0 .*volume .*lr 1e\+30"):
             train_supervised(cfg, workspace["data"], tmp_path / "run")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_failed_rerun_leaves_no_earlier_weights_beside_its_sidecar(self, workspace, tmp_path):
+        cfg = replace(
+            workspace["cfg"],
+            train=replace(workspace["cfg"].train, method="decoder_ft", epochs=1, max_train_samples=10),
+        )
+        out = tmp_path / "run"
+        train_supervised(cfg, workspace["data"], out)
+        failing = replace(cfg, train=replace(cfg.train, lr=1e30))
+        with pytest.raises(ValidationError, match="non-finite training loss"):
+            train_supervised(failing, workspace["data"], out)
+        with pytest.raises(FormatError, match="truncated checkpoint"):
+            load_model(out / "checkpoint.sdck")
+
 
 def _edited_base(workspace, path, name, index, value):
     """The base checkpoint with one value of parameter ``name`` replaced."""

@@ -47,7 +47,6 @@ PROMPTS = PromptSet([(4.0, 5.0, 1), (10.0, 2.0, 0), (7.0, 12.0, 1)])
 class TestConfig:
     def test_defaults_are_consistent(self):
         cfg = ModelConfig()
-        cfg.validate()
         assert cfg.grid_size == 8
         assert cfg.num_patches == 64
         assert cfg.upsample_stages == 3
@@ -65,9 +64,8 @@ class TestConfig:
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
-        cfg = ModelConfig(**{**ModelConfig().__dict__, **overrides})
         with pytest.raises(ValidationError):
-            cfg.validate()
+            ModelConfig(**{**ModelConfig().__dict__, **overrides})
 
 
 class TestForwardShapes:
