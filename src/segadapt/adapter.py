@@ -20,7 +20,7 @@ from typing import Callable
 
 from .errors import ContractError, ValidationError
 from .model import SegmentationModel
-from .params import Init, ParameterRegistry, check_seed
+from .params import Init, ParameterRegistry, check_number, check_seed
 from .tensor import Tensor, attention, linear
 
 METHODS = ("full_ft", "decoder_ft", "lora", "sam_da_dec", "sam_da_enc")
@@ -43,8 +43,7 @@ class AdapterConfig:
             raise ValidationError("adapter dims must be >= 1")
         if self.placement not in ("decoder", "encoder"):
             raise ValidationError(f"placement must be 'decoder' or 'encoder', got {self.placement!r}")
-        if self.init_scale <= 0:
-            raise ValidationError(f"init_scale must be positive, got {self.init_scale}")
+        check_number(self.init_scale, "init_scale", 0.0, above=True)
 
     def resolved_encoder_blocks(self, enc_depth: int) -> int:
         # Default: adapt the final five-sixths of the blocks, rounded up.
@@ -67,6 +66,8 @@ class LoraConfig:
     def __post_init__(self):
         if self.rank < 1:
             raise ValidationError(f"rank must be >= 1, got {self.rank}")
+        if self.alpha is not None:
+            check_number(self.alpha, "LoRA alpha", 0.0, above=True)
         if not self.targets:
             raise ValidationError("at least one target projection required")
         for t in self.targets:

@@ -24,7 +24,7 @@ from .data import read_json_object, write_json
 from .errors import ValidationError
 from .losses import LossConfig
 from .model import ModelConfig
-from .params import check_seed
+from .params import check_number, check_seed
 
 CONFIG_VERSION = 1
 
@@ -50,11 +50,11 @@ class TrainSettings:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValidationError(f"method {self.method!r} not one of {METHODS}")
-        if self.lr <= 0 or self.epochs < 1 or self.batch_size < 1:
-            raise ValidationError("lr must be positive; epochs and batch_size at least 1")
+        check_number(self.lr, "lr", 0.0, above=True)
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValidationError("epochs and batch_size must be at least 1")
         check_seed(self.seed, "train seed")
-        if self.weight_decay < 0:
-            raise ValidationError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        check_number(self.weight_decay, "weight_decay", 0.0)
         if self.max_train_samples is not None and self.max_train_samples < 1:
             raise ValidationError(
                 f"max_train_samples must be at least 1, got {self.max_train_samples}"
@@ -78,11 +78,10 @@ class TTDASettings:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValidationError(f"iterations must be >= 1, got {self.iterations}")
-        if self.lr <= 0:
-            raise ValidationError(f"lr must be positive, got {self.lr}")
+        check_number(self.lr, "ttda lr", 0.0, above=True)
         check_seed(self.seed, "ttda seed")
-        if min(self.lambda_entropy, self.lambda_proximity, self.lambda_contrastive) < 0:
-            raise ValidationError("TTDA loss weights must be non-negative")
+        for name in ("lambda_entropy", "lambda_proximity", "lambda_contrastive"):
+            check_number(getattr(self, name), name, 0.0)
         if not 0 < self.positive_offset < self.negative_min_offset:
             raise ValidationError(
                 f"offsets must satisfy 0 < positive ({self.positive_offset}) "

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 
 from .errors import ContractError, FormatError, ValidationError
-from .params import check_seed
+from .params import check_number, check_seed
 
 SLICES_PER_VOLUME = 10
 
@@ -81,22 +81,14 @@ class DomainConfig:
         if not 1 <= lo <= hi:
             raise ValidationError(f"num_blobs range {self.num_blobs} invalid")
         rlo, rhi = self.blob_radius
-        if not 1.0 <= rlo <= rhi:
-            raise ValidationError(f"blob_radius range {self.blob_radius} must sit in [1, inf)")
-        if rhi > self.image_size / 3:
-            raise ValidationError(f"blob_radius upper bound {rhi} too large for image_size {self.image_size}")
-        for label, (a, b) in (("fg_intensity", self.fg_intensity), ("bg_intensity", self.bg_intensity)):
-            if not 0.0 <= a <= b <= 1.0:
-                raise ValidationError(f"{label} range ({a}, {b}) must be ordered within [0, 1]")
-        for label, value in (("gamma", self.gamma), ("noise_sigma", self.noise_sigma),
+        check_number(rlo, "blob_radius lower end", 1.0)
+        check_number(rhi, "blob_radius upper end", rlo, high=self.image_size / 3)
+        for label, value in (("fg_intensity", self.fg_intensity), ("bg_intensity", self.bg_intensity),
+                             ("gamma", self.gamma), ("noise_sigma", self.noise_sigma),
                              ("speckle_sigma", self.speckle_sigma), ("blur_radius", self.blur_radius)):
             a, b = _span(value)
-            if not a <= b:
-                raise ValidationError(f"{label} range ({a}, {b}) must be ordered")
-        if _span(self.gamma)[0] <= 0:
-            raise ValidationError(f"gamma must be positive, got {self.gamma}")
-        if min(_span(self.noise_sigma)[0], _span(self.speckle_sigma)[0], _span(self.blur_radius)[0]) < 0:
-            raise ValidationError("noise sigmas and blur_radius must be non-negative")
+            check_number(a, f"{label} lower end", 0.0, above=label == "gamma")
+            check_number(b, f"{label} upper end", a, high=1.0 if label.endswith("intensity") else None)
 
 
 def default_source_domain(seed: int = 1001) -> DomainConfig:

@@ -55,11 +55,12 @@ from .losses import (
 from .model import DecoderState, ModelConfig, PromptSet, SegmentationModel
 from .params import AdamWState, adamw_step, check_seed
 from .stats import paired_t_test
-from .tensor import Tensor, backward, grad_enabled, no_grad
+from .tensor import Tensor, backward, grad_enabled, no_grad, stack
 
 _PROMPT_TAG = 0x70726F6D
 _SHUFFLE_TAG = 0x73687566
 PROMPT_JITTER = 2  # pixels an evaluation click may move off the centroid-nearest point
+EVAL_BATCH = 8  # images per evaluation forward
 
 META_VERSION = 1
 METHOD_SEEDS = (0, 1, 2, 3)
@@ -140,11 +141,29 @@ def evaluate_model(
     """IoU of binarized predictions against ground truth, one click per image;
     ``inputs``, a stage's memo drawn with the same seed, supplies each click
     and what its forward may reuse (by default each click is drawn and every
-    image and prompt is encoded)."""
+    image and prompt is encoded).
+
+    Images run ``EVAL_BATCH`` at a time, each chunk as one stacked forward
+    whose every image is bit-identical to its own forward.  A chunk reuses
+    the memo's decoder prefixes if every sample has one, else whatever
+    embeddings it has; the rest of its images are encoded as one stack.
+    """
     scores = []
-    for s in samples:
-        reused = inputs(s) if inputs is not None else (_click(s, seed),)
-        scores.append(compute_iou(model.predict(s.image, *reused).mask, s.mask))
+    for chunk in _chunks(samples, EVAL_BATCH):
+        reused = [inputs(s) if inputs is not None else (_click(s, seed), None, None) for s in chunk]
+        prompts, embeddings, prefixes = zip(*reused)
+        images = np.stack([s.image for s in chunk])
+        prefix = embedding = None
+        with no_grad():
+            if all(p is not None for p in prefixes):
+                prefix = DecoderState(stack(p.tokens for p in prefixes), stack(p.dense for p in prefixes))
+            elif any(e is not None for e in embeddings):
+                # A memo that keeps no embedding still hands out its stage's first one.
+                todo = [j for j, e in enumerate(embeddings) if e is None]
+                fresh = iter(model.encode_image(images[todo]).data if todo else ())
+                embedding = stack(e if e is not None else Tensor(next(fresh)) for e in embeddings)
+        pred = model.predict(images, prompts, embedding, prefix)
+        scores += [compute_iou(mask, s.mask) for mask, s in zip(pred.mask, chunk)]
     return EvalResult.from_scores(scores)
 
 
@@ -281,7 +300,7 @@ def attach_method(
 # -- supervised training -------------------------------------------------------------
 
 
-def _chunks(order: np.ndarray, size: int):
+def _chunks(order: Sequence, size: int):
     for start in range(0, len(order), size):
         yield order[start : start + size]
 

@@ -21,6 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DimensionError, ValidationError
+from .params import check_number
 from . import tensor
 from .tensor import Tensor, _log_backward, _log_forward, _mean, _sigmoid_forward
 
@@ -38,16 +39,10 @@ class LossConfig:
     temperature: float = 0.1
 
     def __post_init__(self):
-        if min(self.dice_weight, self.ce_weight, self.iou_weight) < 0:
-            raise ValidationError("loss weights must be non-negative")
-        if self.dice_smooth < 0:
-            raise ValidationError(f"dice_smooth must be >= 0, got {self.dice_smooth}")
-        if self.focal_gamma < 0:
-            raise ValidationError(f"focal gamma must be >= 0, got {self.focal_gamma}")
-        if not 0 < self.confidence_fraction <= 1:
-            raise ValidationError(f"confidence_fraction must be in (0, 1], got {self.confidence_fraction}")
-        if self.temperature <= 0:
-            raise ValidationError(f"temperature must be positive, got {self.temperature}")
+        for name in ("dice_weight", "ce_weight", "iou_weight", "dice_smooth", "focal_gamma"):
+            check_number(getattr(self, name), name, 0.0)
+        check_number(self.confidence_fraction, "confidence_fraction", 0.0, above=True, high=1.0)
+        check_number(self.temperature, "temperature", 0.0, above=True)
 
 
 def _check_target(logits: Tensor, target: np.ndarray) -> np.ndarray:

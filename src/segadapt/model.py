@@ -6,6 +6,12 @@ a two-way transformer decoder exchanges information between tokens and the
 dense grid before upsampling back to pixel resolution.  The decoder exposes a
 hook on its dense-embedding output per layer and the encoder a hook per
 block; the adapter module wires into these.
+
+Every entry point takes one image or a stack of them: an image [S, S] and
+its ``PromptSet``, or images [B, S, S] and a sequence of B prompt sets with
+equal point counts.  Every array of a stack's forward then carries a leading
+image axis, and each image's values are bit-identical to its own forward
+(see ``tensor``).
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .tensor import (
     linear,
     no_grad,
 )
+
 
 POSITIVE = 1
 NEGATIVE = 0
@@ -114,14 +121,21 @@ class PromptSet:
         return PromptSet([self.points[i] for i in order])
 
 
+Prompts = PromptSet | Sequence[PromptSet]  # one image's prompt set, or a stack's
+
+
 @dataclass
 class DecoderState:
+    """A stack's state carries the leading image axis on both tensors."""
+
     tokens: Tensor  # [2 + num_prompts, dec_dim]: mask token, IoU token, prompts
     dense: Tensor  # [num_patches, dec_dim]
 
 
 @dataclass
 class ForwardResult:
+    """A stack's result carries the leading image axis on every tensor."""
+
     logits: Tensor  # [image_size, image_size]
     iou_pred: Tensor  # scalar in (0, 1)
     dense: Tensor  # final dense embeddings after the decoder (and hooks)
@@ -129,8 +143,10 @@ class ForwardResult:
 
 @dataclass
 class MaskPrediction:
+    """A stack's prediction holds [B, S, S] logits and B IoU estimates."""
+
     logits: np.ndarray
-    iou_pred: float
+    iou_pred: float | np.ndarray
 
     @property
     def mask(self) -> np.ndarray:
@@ -235,7 +251,7 @@ class SegmentationModel:
         q = self._proj(f"{prefix}.query", q_in)
         k = self._proj(f"{prefix}.key", k_in)
         v = self._proj(f"{prefix}.value", v_in)
-        scale = 1.0 / math.sqrt(q.shape[1] // heads)
+        scale = 1.0 / math.sqrt(q.shape[-1] // heads)
         return self._proj(f"{prefix}.out", attention(q, k, v, heads, scale))
 
     def _norm(self, prefix: str, x: Tensor) -> Tensor:
@@ -254,21 +270,21 @@ class SegmentationModel:
         """Pre-attention tokens: patchify, linear embed, add position embedding."""
         cfg = self.cfg
         image = np.asarray(image)
-        if image.shape != (cfg.image_size, cfg.image_size):
-            raise DimensionError(
-                f"image shape {image.shape} != ({cfg.image_size}, {cfg.image_size})"
-            )
+        size = (cfg.image_size, cfg.image_size)
+        if image.shape[-2:] != size or image.ndim not in (2, 3):
+            raise DimensionError(f"image shape {image.shape} is neither {size} nor a stack of {size}")
         g, p = cfg.grid_size, cfg.patch_size
+        lead = image.shape[:-2]
         patches = (
             image.astype(self.registry.dtype)
-            .reshape(g, p, g, p)
-            .transpose(0, 2, 1, 3)
-            .reshape(cfg.num_patches, p * p)
+            .reshape(lead + (g, p, g, p))
+            .swapaxes(-3, -2)
+            .reshape(lead + (cfg.num_patches, p * p))
         )
         return self._proj("encoder.patch_embed", Tensor(patches)) + self.registry.get("encoder.pos_embed")
 
     def encode_image(self, image: np.ndarray) -> Tensor:
-        """The image's embedding grid, [num_patches, dec_dim]."""
+        """The image's embedding grid, [num_patches, dec_dim]; [B, ...] for a stack."""
         cfg = self.cfg
         x = self.patch_tokens(image)
         for i in range(cfg.enc_depth):
@@ -296,13 +312,24 @@ class SegmentationModel:
             out[:, base + n_freq : base + 2 * n_freq] = np.cos(phase)
         return out
 
-    def encode_prompts(self, prompts: PromptSet) -> Tensor:
+    def encode_prompts(self, prompts: Prompts) -> Tensor:
+        """One prompt set's tokens, [num_points, dec_dim]; [B, ...] for a
+        sequence of B sets, which must hold equally many points."""
         cfg = self.cfg
-        prompts.validate(cfg.image_size)
-        xs = np.array([p[0] for p in prompts.points], dtype=np.float64)
-        ys = np.array([p[1] for p in prompts.points], dtype=np.float64)
-        labels = [int(p[2]) for p in prompts.points]
-        code = Tensor(self._position_code(xs, ys).astype(self.registry.dtype))
+        one = isinstance(prompts, PromptSet)
+        sets = [prompts] if one else list(prompts)
+        for s in sets:
+            s.validate(cfg.image_size)
+        counts = {len(s.points) for s in sets}
+        if len(counts) != 1:
+            raise DimensionError(f"a stack's prompt sets must hold equally many points, got {sorted(counts)}")
+        count = counts.pop()
+        shape = (count,) if one else (len(sets), count)
+        points = [p for s in sets for p in s.points]
+        xs = np.array([p[0] for p in points], dtype=np.float64)
+        ys = np.array([p[1] for p in points], dtype=np.float64)
+        labels = np.array([int(p[2]) for p in points]).reshape(shape)
+        code = Tensor(self._position_code(xs, ys).astype(self.registry.dtype).reshape(shape + (cfg.dec_dim,)))
         return code + gather_rows(self.registry.get("prompt.label_embed"), labels)
 
     # -- decoder ------------------------------------------------------------------------
@@ -343,7 +370,7 @@ class SegmentationModel:
         reads only the tokens, which no dense hook touches."""
         reg = self.registry
         tokens = concat(
-            [reg.get("decoder.mask_token"), reg.get("decoder.iou_token"), prompt_tokens], axis=0
+            [reg.get("decoder.mask_token"), reg.get("decoder.iou_token"), prompt_tokens], axis=-2
         )
         return self._enter(self.twoway_layer(DecoderState(tokens=tokens, dense=embedding), 0), 1)
 
@@ -361,21 +388,24 @@ class SegmentationModel:
                 state = DecoderState(state.tokens, self.dense_hook(state.dense, layer))
 
         feat = state.dense
+        lead = feat.shape[:-2]
+        # each token expands into a 2x2 spatial block with half the channels
+        i = len(lead)
+        expand = (*range(i), i, i + 2, i + 1, i + 3, i + 4)
         h = w = cfg.grid_size
         for s in range(cfg.upsample_stages):
-            c = feat.shape[1]
+            c = feat.shape[-1]
             feat = self._proj(f"decoder.upsample{s}", feat)
-            # each token expands into a 2x2 spatial block with half the channels
             feat = (
-                feat.reshape(h, w, 2, 2, c // 2)
-                .permute(0, 2, 1, 3, 4)
-                .reshape(2 * h * 2 * w, c // 2)
+                feat.reshape(lead + (h, w, 2, 2, c // 2))
+                .permute(expand)
+                .reshape(lead + (2 * h * 2 * w, c // 2))
             )
             h, w = 2 * h, 2 * w
 
-        mask_vec = self._head_mlp("decoder.mask_mlp", state.tokens[0:1])  # [1, pixel_dim]
-        logits = (feat @ mask_vec.T).reshape(cfg.image_size, cfg.image_size)
-        iou_pred = self._head_mlp("decoder.iou_mlp", state.tokens[1:2]).sigmoid().reshape(())
+        mask_vec = self._head_mlp("decoder.mask_mlp", state.tokens[..., 0:1, :])  # [1, pixel_dim]
+        logits = (feat @ mask_vec.T).reshape(lead + (cfg.image_size, cfg.image_size))
+        iou_pred = self._head_mlp("decoder.iou_mlp", state.tokens[..., 1:2, :]).sigmoid().reshape(lead)
         return ForwardResult(logits=logits, iou_pred=iou_pred, dense=state.dense)
 
     # -- entry points ----------------------------------------------------------------------
@@ -383,13 +413,13 @@ class SegmentationModel:
     def forward(
         self,
         image: np.ndarray,
-        prompts: PromptSet,
+        prompts: Prompts,
         embedding: Tensor | None = None,
         prefix: DecoderState | None = None,
     ) -> ForwardResult:
         """Decode the prompts from ``prefix``, the state ``decoder_prefix``
         made of them, if given; else from the image's ``embedding``, encoded
-        if not given."""
+        if not given.  A stack of images takes a stack of each."""
         if prefix is None:
             if embedding is None:
                 embedding = self.encode_image(image)
@@ -399,10 +429,12 @@ class SegmentationModel:
     def predict(
         self,
         image: np.ndarray,
-        prompts: PromptSet,
+        prompts: Prompts,
         embedding: Tensor | None = None,
         prefix: DecoderState | None = None,
     ) -> MaskPrediction:
+        """``forward`` without a tape, as arrays."""
         with no_grad():
             result = self.forward(image, prompts, embedding, prefix)
-        return MaskPrediction(logits=result.logits.data.copy(), iou_pred=result.iou_pred.item())
+        iou = result.iou_pred.data
+        return MaskPrediction(logits=result.logits.data.copy(), iou_pred=float(iou) if iou.ndim == 0 else iou)

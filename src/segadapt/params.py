@@ -8,6 +8,8 @@ depend on construction order.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -22,6 +24,17 @@ def check_seed(seed, what: str = "seed") -> None:
     is not one)."""
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValidationError(f"{what} must be an int >= 0, got {seed!r}")
+
+
+def check_number(value, what: str, low: float, *, above: bool = False, high: float | None = None) -> None:
+    """Refuse, with ValidationError, a value that is not a finite real number
+    >= ``low`` (> ``low`` if ``above``) and, if ``high`` is given, <= ``high``.
+    Every float rule of a config goes through here, so none lets NaN or
+    +-inf through (a bool is not a number)."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    if not (ok and (value > low if above else value >= low) and (high is None or value <= high)):
+        bound = f"{'>' if above else '>='} {low}" + ("" if high is None else f" and <= {high}")
+        raise ValidationError(f"{what} must be a finite number {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)

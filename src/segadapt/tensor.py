@@ -9,10 +9,23 @@ then frees the graph.  Closures skip the gradient of any input that does not
 require one, such as a frozen weight or a constant.
 
 Broadcasting is deliberately restricted: binary elementwise operations accept
-equal shapes or a scalar (0-d) operand, nothing else.  The few structured
-patterns the models need are dedicated primitives (the affine ``linear``,
-``gather_rows``, batched 3-d ``matmul``, multi-head ``attention``) so shape
-errors stay loud.
+equal shapes, a scalar (0-d) operand, or a stack of images [B, ...] with one
+image's shape [...] of rank 2 or more (a position table added to every
+image's tokens, say), nothing else.  The few structured patterns the models
+need are dedicated primitives (the affine ``linear``, ``gather_rows``,
+``matmul``, multi-head ``attention``, ``layer_norm``) so shape errors stay
+loud.
+
+The matrix operations and ``layer_norm`` also take that leading image axis,
+so one call evaluates a stack of images.  Their products stay per image: a
+stack multiplies as ``[B, n, k] @ [k, d]``, for which numpy makes one BLAS
+call per image with that image's own shapes, never as one ``[B*n, k]``
+product, whose rounding differs from the per-image product when a factor has
+one row or one column.  Row-wise and elementwise work runs over the whole
+stack.  Each image's values are therefore bit-identical to a call on that
+image alone, and a stack of one gives the unstacked call's values and
+gradients.  A parameter used by every image of a stack gets its gradient
+summed over the image axis.
 """
 
 from __future__ import annotations
@@ -193,20 +206,39 @@ def _as_tensor(value, like: Tensor) -> Tensor:
     return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
+def _image_of(stack: tuple[int, ...], image: tuple[int, ...]) -> bool:
+    """Whether ``stack`` is a stack of images shaped ``image`` (rank >= 2)."""
+    return len(image) >= 2 and stack[1:] == image
+
+
 def _check_pair(a: Tensor, b: Tensor, op: str) -> None:
     if a.data.dtype != b.data.dtype:
         raise ContractError(f"{op}: mixed dtypes {a.data.dtype} and {b.data.dtype}")
-    if a.shape != b.shape and a.data.ndim != 0 and b.data.ndim != 0:
+    if not (
+        a.shape == b.shape or a.data.ndim == 0 or b.data.ndim == 0
+        or _image_of(a.shape, b.shape) or _image_of(b.shape, a.shape)
+    ):
         raise DimensionError(
-            f"{op}: shapes {a.shape} and {b.shape} are neither equal nor scalar-with-tensor"
+            f"{op}: shapes {a.shape} and {b.shape} are neither equal, scalar-with-tensor, "
+            f"nor a stack of images with one image"
         )
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # Only the scalar-with-tensor case can disagree in shape here.
+    """``grad`` summed down to an operand's ``shape``: a scalar's whole sum,
+    or the sum over the leading axes that an operand shared by a stack lacks."""
     if grad.shape == shape:
         return grad
-    return np.asarray(grad.sum(), dtype=grad.dtype).reshape(shape)
+    if not shape:
+        return np.asarray(grad.sum(), dtype=grad.dtype).reshape(shape)
+    if grad.size == math.prod(shape):  # a stack of one: a sum would turn -0.0 into 0.0
+        return grad.reshape(shape)
+    return grad.sum(axis=tuple(range(grad.ndim - len(shape))))
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """``x`` as a matrix of its last-axis rows: the same matrix if 2-d."""
+    return x.reshape(-1, x.shape[-1])
 
 
 def backward(loss: Tensor) -> None:
@@ -329,18 +361,22 @@ def power(a: Tensor, exponent: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: [m,k]@[k,n], or batched [h,m,k]@[h,k,n]."""
-    if a.data.ndim != b.data.ndim or a.data.ndim not in (2, 3):
-        raise DimensionError(f"matmul: ranks {a.data.ndim} and {b.data.ndim} unsupported")
-    if a.shape[-1] != b.shape[-2] or (a.data.ndim == 3 and a.shape[0] != b.shape[0]):
-        raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} do not align")
-    if a.data.dtype != b.data.dtype:
-        raise ContractError(f"matmul: mixed dtypes {a.data.dtype} and {b.data.dtype}")
-    out = a.data @ b.data
+    """Matrix product [m,k]@[k,n] of each pair of matrices: batched
+    [h,m,k]@[h,k,n], or a stack with one shared matrix, [B,m,k]@[k,n] or
+    [m,k]@[B,k,n]."""
+    ad, bd = a.data, b.data
+    lead_a, lead_b = ad.shape[:-2], bd.shape[:-2]
+    if ad.ndim < 2 or bd.ndim < 2 or (lead_a and lead_b and lead_a != lead_b):
+        raise DimensionError(f"matmul: ranks {ad.ndim} and {bd.ndim} unsupported")
+    if ad.shape[-1] != bd.shape[-2]:
+        raise DimensionError(f"matmul: shapes {ad.shape} and {bd.shape} do not align")
+    if ad.dtype != bd.dtype:
+        raise ContractError(f"matmul: mixed dtypes {ad.dtype} and {bd.dtype}")
+    out = ad @ bd
 
     def grad_fn(g):
-        ga = g @ b.data.swapaxes(-1, -2) if a.requires_grad else None
-        gb = a.data.swapaxes(-1, -2) @ g if b.requires_grad else None
+        ga = _unbroadcast(g @ bd.mT, ad.shape) if a.requires_grad else None
+        gb = _unbroadcast(ad.mT @ g, bd.shape) if b.requires_grad else None
         return ga, gb
 
     return _node(out, (a, b), grad_fn)
@@ -350,9 +386,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
+    """A matrix's transpose, or each one's in a stack of matrices."""
+    if a.data.ndim < 2:
         raise DimensionError(f"transpose: expected a matrix, got shape {a.shape}")
-    return _node(np.ascontiguousarray(a.data.T), (a,), lambda g: (g.T,))
+    return _node(np.ascontiguousarray(a.data.mT), (a,), lambda g: (g.mT,))
 
 
 def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -387,9 +424,10 @@ def take(a: Tensor, index) -> Tensor:
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
-    """Row lookup into a [rows, d] table; unused rows get zero gradient."""
+    """Row lookup into a [rows, d] table, [*indices.shape, d] out (one row of
+    indices per image of a stack, say); unused rows get zero gradient."""
     idx = np.asarray(indices, dtype=np.intp)
-    if a.data.ndim != 2 or idx.ndim != 1:
+    if a.data.ndim != 2 or idx.ndim < 1:
         raise DimensionError(f"gather_rows: table {a.shape}, indices {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise DimensionError(f"gather_rows: index out of range for {a.shape[0]} rows")
@@ -404,32 +442,57 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
+    """Join along ``axis``.  A part without the leading axes of the
+    highest-rank part (one image's tokens joined to a stack's) is repeated
+    over them, and its gradient summed over them; ``axis`` then counts from
+    the end."""
     ts = list(tensors)
     if not ts:
         raise DimensionError("concat: empty input list")
     dtypes = {t.data.dtype for t in ts}
     if len(dtypes) > 1:
         raise ContractError(f"concat: mixed dtypes {sorted(map(str, dtypes))}")
-    out = np.concatenate([t.data for t in ts], axis=axis)
+    parts = [t.data for t in ts]
+    top = max(parts, key=np.ndim).shape
+    if any(p.ndim < len(top) for p in parts):
+        if axis >= 0:
+            raise DimensionError(
+                f"concat: parts of ranks {[p.ndim for p in parts]} need an axis counted from the end"
+            )
+        parts = [np.broadcast_to(p, top[: len(top) - p.ndim] + p.shape) for p in parts]
+    out = np.concatenate(parts, axis=axis)
     splits = np.cumsum([t.shape[axis] for t in ts])[:-1]
 
     def grad_fn(g):
         return tuple(
-            np.ascontiguousarray(p) if t.requires_grad else None
+            np.ascontiguousarray(_unbroadcast(p, t.shape)) if t.requires_grad else None
             for t, p in zip(ts, np.split(g, splits, axis=axis))
         )
 
     return _node(out, ts, grad_fn)
 
 
+def stack(tensors: Iterable[Tensor]) -> Tensor:
+    """Equal-shaped tensors, one per image, along a new leading image axis."""
+    ts = list(tensors)
+    if not ts or len({t.shape for t in ts}) > 1:
+        raise DimensionError(f"stack: needs equal shapes, got {[t.shape for t in ts]}")
+    dtypes = {t.data.dtype for t in ts}
+    if len(dtypes) > 1:
+        raise ContractError(f"stack: mixed dtypes {sorted(map(str, dtypes))}")
+    out = np.stack([t.data for t in ts])
+    return _node(out, ts, lambda g: tuple(gi if t.requires_grad else None for t, gi in zip(ts, g)))
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor, delta: Tensor | None = None) -> Tensor:
-    """``x @ weight + delta + bias`` as one tape node: x [n, k], weight [k, d],
-    bias [d] broadcast over rows (the only row broadcast), the optional delta
-    [n, d] a LoRA term, say.  Forward and backward run the numpy operations of
-    the matmul / add / bias-add chain of nodes, so every bit matches that chain."""
+    """``x @ weight + delta + bias`` as one tape node: x [n, k] or a stack
+    [B, n, k], weight [k, d], bias [d] broadcast over rows (the only row
+    broadcast), the optional delta shaped like the output, a LoRA term, say.
+    Forward and backward run the numpy operations of the matmul / add /
+    bias-add chain of nodes, so every bit matches that chain."""
     parents = (x, weight, bias) if delta is None else (x, weight, bias, delta)
-    if x.data.ndim != 2 or bias.data.ndim != 1 or weight.shape != x.shape[1:] + bias.shape or (
-        delta is not None and delta.shape != x.shape[:1] + bias.shape
+    if x.data.ndim < 2 or bias.data.ndim != 1 or weight.shape != x.shape[-1:] + bias.shape or (
+        delta is not None and delta.shape != x.shape[:-1] + bias.shape
     ):
         raise DimensionError(f"linear: shapes {[p.shape for p in parents]} do not align")
     if len({p.data.dtype for p in parents}) > 1:
@@ -441,8 +504,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, delta: Tensor | None = None)
 
     def grad_fn(g):
         gx = g @ weight.data.T if x.requires_grad else None
-        gw = x.data.T @ g if weight.requires_grad else None
-        gb = g.sum(axis=0) if bias.requires_grad else None
+        # A stack's shared weight and bias take the sum over every image's rows.
+        rows_x, rows_g = (x.data, g) if g.ndim == 2 else (_rows(x.data), _rows(g))
+        gw = rows_x.T @ rows_g if weight.requires_grad else None
+        gb = rows_g.sum(axis=0) if bias.requires_grad else None
         return (gx, gw, gb) if delta is None else (gx, gw, gb, g if delta.requires_grad else None)
 
     return _node(out, parents, grad_fn)
@@ -570,73 +635,79 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
 
     ``q`` is [n_q, d], ``k`` is [n_k, d] and ``v`` is [n_k, d_v], with d and
     d_v divisible by ``heads``; the result is [n_q, d_v], each head's
-    ``softmax(q_h @ k_h.T * scale) @ v_h`` with the heads side by side.  The
-    forward and backward run the numpy operations of the equivalent
+    ``softmax(q_h @ k_h.T * scale) @ v_h`` with the heads side by side.  A
+    stack of queries [B, n_q, d] attends either over keys and values of its
+    own, [B, n_k, d] and [B, n_k, d_v], or over one set shared by every image.
+    The forward and backward run the numpy operations of the equivalent
     reshape / permute / matmul / softmax chain of separate nodes, in the same
     order and on the same memory layouts, so every value and gradient is
     bit-identical to that chain.
     """
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
+    qd, kd, vd = q.data, k.data, v.data
+    if qd.ndim not in (2, 3) or kd.ndim != vd.ndim or kd.ndim not in (2, qd.ndim):
         raise DimensionError(f"attention: expected matrices, got {q.shape}, {k.shape}, {v.shape}")
-    (n_q, dim), (n_k, dim_v) = q.shape, v.shape
-    if k.shape != (n_k, dim) or heads < 1 or dim % heads or dim_v % heads:
+    lead = qd.shape[:-2]
+    (n_q, dim), (n_k, dim_v) = qd.shape[-2:], vd.shape[-2:]
+    if (kd.shape[-2:] != (n_k, dim) or kd.shape[:-2] not in ((), lead) or kd.shape[:-2] != vd.shape[:-2]
+            or heads < 1 or dim % heads or dim_v % heads):
         raise DimensionError(
             f"attention: q {q.shape}, k {k.shape}, v {v.shape} do not split into {heads} heads"
         )
-    if not q.data.dtype == k.data.dtype == v.data.dtype:
-        raise ContractError(
-            f"attention: mixed dtypes {q.data.dtype}, {k.data.dtype} and {v.data.dtype}"
-        )
-    scale = np.asarray(scale, dtype=q.data.dtype)
+    if not qd.dtype == kd.dtype == vd.dtype:
+        raise ContractError(f"attention: mixed dtypes {qd.dtype}, {kd.dtype} and {vd.dtype}")
+    scale = np.asarray(scale, dtype=qd.dtype)
+    shared = kd.ndim < qd.ndim  # one key and value set for every image of a stack
     if heads == 1:
-        q3, k3, v3, axis = q.data, np.ascontiguousarray(k.data.T), v.data, 1
+        q3, k3, v3 = qd, np.ascontiguousarray(kd.mT), vd
     else:
-        q3 = np.ascontiguousarray(q.data.reshape(n_q, heads, dim // heads).transpose(1, 0, 2))
-        k3 = np.ascontiguousarray(k.data.reshape(n_k, heads, dim // heads).transpose(1, 2, 0))
-        v3 = np.ascontiguousarray(v.data.reshape(n_k, heads, dim_v // heads).transpose(1, 0, 2))
-        axis = 2
-    weights = _softmax_forward((q3 @ k3) * scale, axis)
+        # [..., n, width] as [..., heads, n, width // heads]
+        q3 = np.ascontiguousarray(qd.reshape(lead + (n_q, heads, dim // heads)).swapaxes(-3, -2))
+        k3 = np.ascontiguousarray(kd.reshape(kd.shape[:-1] + (heads, dim // heads)).swapaxes(-3, -2).mT)
+        v3 = np.ascontiguousarray(vd.reshape(vd.shape[:-1] + (heads, dim_v // heads)).swapaxes(-3, -2))
+    weights = _softmax_forward((q3 @ k3) * scale, -1)
     out = weights @ v3
     if heads > 1:
-        out = np.ascontiguousarray(out.transpose(1, 0, 2)).reshape(n_q, dim_v)
+        out = np.ascontiguousarray(out.swapaxes(-3, -2)).reshape(lead + (n_q, dim_v))
 
     def grad_fn(g):
         if heads > 1:
-            g = g.reshape(n_q, heads, dim_v // heads).transpose(1, 0, 2)
+            g = g.reshape(lead + (n_q, heads, dim_v // heads)).swapaxes(-3, -2)
         gq = gk = gv = None
         if q.requires_grad or k.requires_grad:
-            gs = _softmax_backward(weights, g @ v3.swapaxes(-1, -2), axis) * scale
+            gs = _softmax_backward(weights, g @ v3.mT, -1) * scale
             if q.requires_grad:
-                gq = gs @ k3.swapaxes(-1, -2)
+                gq = gs @ k3.mT
             if k.requires_grad:
-                gk = q3.swapaxes(-1, -2) @ gs
+                gk = (q3.mT @ gs).mT
         if v.requires_grad:
-            gv = weights.swapaxes(-1, -2) @ g
-        if heads == 1:
-            return gq, (None if gk is None else gk.T), gv
-        return (
-            None if gq is None else gq.transpose(1, 0, 2).reshape(n_q, dim),
-            None if gk is None else gk.transpose(2, 0, 1).reshape(n_k, dim),
-            None if gv is None else gv.transpose(1, 0, 2).reshape(n_k, dim_v),
-        )
+            gv = weights.mT @ g
+        if heads > 1:  # the heads back side by side
+            gq = None if gq is None else gq.swapaxes(-3, -2).reshape(lead + (n_q, dim))
+            gk = None if gk is None else gk.swapaxes(-3, -2).reshape(lead + (n_k, dim))
+            gv = None if gv is None else gv.swapaxes(-3, -2).reshape(lead + (n_k, dim_v))
+        if shared:  # summed over the image axis
+            gk = None if gk is None else _unbroadcast(gk, kd.shape)
+            gv = None if gv is None else _unbroadcast(gv, vd.shape)
+        return gq, gk, gv
 
     return _node(out, (q, k, v), grad_fn)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization over the last axis of a matrix, then affine."""
+    """Per-row normalization over the last axis of a matrix, or of each
+    matrix in a stack, then affine."""
     if eps <= 0:
         raise ContractError(f"layer_norm: eps must be positive, got {eps}")
-    if x.data.ndim != 2:
+    if x.data.ndim not in (2, 3):
         raise DimensionError(f"layer_norm: expected a matrix, got shape {x.shape}")
-    d = x.shape[1]
+    d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(
             f"layer_norm: gain {gain.shape} / bias {bias.shape} must be ({d},)"
         )
-    mu = _mean(x.data, 1, True)
+    mu = _mean(x.data, -1, True)
     xc = x.data - mu
-    var = _mean(xc * xc, 1, True)
+    var = _mean(xc * xc, -1, True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.data[None, :] + bias.data[None, :]
@@ -647,10 +718,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             dxhat = g * gain.data[None, :]
             gx = inv * (
                 dxhat
-                - _mean(dxhat, 1, True)
-                - xhat * _mean(dxhat * xhat, 1, True)
+                - _mean(dxhat, -1, True)
+                - xhat * _mean(dxhat * xhat, -1, True)
             )
-        ggain = (g * xhat).sum(axis=0) if gain.requires_grad else None
-        return gx, ggain, (g.sum(axis=0) if bias.requires_grad else None)
+        ggain = _rows(g * xhat).sum(axis=0) if gain.requires_grad else None
+        return gx, ggain, (_rows(g).sum(axis=0) if bias.requires_grad else None)
 
     return _node(out, (x, gain, bias), grad_fn)

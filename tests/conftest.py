@@ -1,4 +1,9 @@
-"""Shared pytest plumbing: the acceptance-criteria summary block.
+"""Shared pytest plumbing: the hypothesis profile and the acceptance-criteria
+summary block.
+
+Every hypothesis test draws the same examples on every run: the profile
+loaded here derandomizes them and reads no example database, and each test
+keeps its own example count.
 
 Tests append one line per criterion through the ``criterion`` fixture; the
 lines are replayed after the run so the verdicts stay visible even when
@@ -6,6 +11,10 @@ pytest captures stdout.
 """
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
 
 _LINES: list[str] = []
 

@@ -137,3 +137,12 @@ def test_train_clock_ticks_once_per_trained_sample(stage, monkeypatch):
     )
     fragment = segadapt.engine.train_supervised(cfg, stage["data"], stage["root"] / "run")
     assert len(calls) == cfg.train.epochs * fragment["train_samples"]
+
+
+def test_eval_clock_ticks_once_per_image(stage, monkeypatch):
+    # Evaluation runs its images in stacks; the clock still needs one
+    # compute_iou per image, a full chunk's and the remainder's alike.
+    assert stage["cfg"].data.sizes.source_test % segadapt.engine.EVAL_BATCH
+    calls = _count_calls(monkeypatch, "compute_iou")
+    fragment = segadapt.engine.evaluate_checkpoint(stage["checkpoint"], stage["data"], "source", "test")
+    assert len(calls) == fragment["count"] == stage["cfg"].data.sizes.source_test == 10

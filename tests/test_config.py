@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -223,6 +224,27 @@ BAD_VALUES = [
     (("train",), "lr", 0.0),
     (("ttda",), "iterations", 0),
     ((), "version", 2),
+    # Every float rule refuses NaN and +-inf, and LoRA's alpha is > 0.
+    (("loss",), "temperature", math.nan),
+    (("loss",), "dice_weight", math.nan),
+    (("loss",), "dice_smooth", math.inf),
+    (("loss",), "focal_gamma", math.inf),
+    (("loss",), "confidence_fraction", math.nan),
+    (("train",), "lr", math.nan),
+    (("train",), "lr", math.inf),
+    (("train",), "weight_decay", math.nan),
+    (("ttda",), "lr", math.nan),
+    (("ttda",), "lambda_entropy", math.nan),
+    (("ttda",), "lambda_contrastive", math.inf),
+    (("adapter",), "init_scale", math.nan),
+    (("adapter",), "init_scale", math.inf),
+    (("lora",), "alpha", math.nan),
+    (("lora",), "alpha", 0.0),
+    (("lora",), "alpha", -1.0),
+    (("lora",), "alpha", -2.0),
+    (("data", "source"), "gamma", math.inf),
+    (("data", "target"), "noise_sigma", -math.inf),
+    (("data", "target"), "speckle_sigma", math.nan),
 ]
 
 

@@ -61,6 +61,12 @@ def samples(workspace):
     return load_split(workspace["data"], manifest, "source_val")
 
 
+def _images(x) -> list:
+    """The images of ``x``: a stack's, or ``x`` itself (evaluation encodes
+    and decodes its images in stacks, every other stage one at a time)."""
+    return list(x) if np.ndim(x) == 3 else [x]
+
+
 def _count_calls(monkeypatch, cls, name):
     calls = []
     original = getattr(cls, name)
@@ -113,9 +119,11 @@ class TestInteriorPrompt:
 
 class TestEvaluation:
     def test_perfect_predictor_scores_one(self, samples, monkeypatch):
-        masks = {id(s.image): s.mask for s in samples}
+        # evaluate_model predicts a stack of images per call.
+        masks = {s.image.tobytes(): s.mask for s in samples}
         monkeypatch.setattr(
-            SegmentationModel, "predict", lambda self, image, *args: SimpleNamespace(mask=masks[id(image)])
+            SegmentationModel, "predict",
+            lambda self, images, *args: SimpleNamespace(mask=[masks[image.tobytes()] for image in images]),
         )
         result = evaluate_model(SegmentationModel(default_config().model), samples, seed=0)
         assert result.mean == 1.0
@@ -871,14 +879,15 @@ class TestEmbeddingCache:
         encode_image = SegmentationModel.encode_image
 
         def counting(self, image):
-            images.append(image)
+            images.extend(_images(image))
             return encode_image(self, image)
 
         monkeypatch.setattr(SegmentationModel, "encode_image", counting)
         cfg = _method_cfg(workspace, method)
         fragment = train_supervised(cfg, workspace["data"], tmp_path / "run")
         epochs, n_train, n_val = cfg.train.epochs, fragment["train_samples"], SIZES.source_val
-        distinct = len({id(image) for image in images})
+        # Told apart by content: a stack holds copies of the samples' images.
+        distinct = len({image.tobytes() for image in images})
         assert distinct == n_train + n_val
         if method == "full_ft":
             # one pass per training step and per validation prediction
@@ -887,7 +896,7 @@ class TestEmbeddingCache:
         assert len(images) == distinct
         images.clear()
         ttda = run_ttda(fragment["checkpoint"], workspace["data"], cfg)
-        assert len(images) == len({id(image) for image in images}) == ttda["count"]
+        assert len(images) == len({image.tobytes() for image in images}) == ttda["count"]
 
 
 class TestDecoderPrefixCache:
@@ -945,10 +954,10 @@ class TestPerSampleWork:
         clicks, attended = _count_clicks(monkeypatch), []
         real_attention = SegmentationModel._attention
 
-        def attention(self, prefix, *args):
+        def attention(self, prefix, heads, tokens, *args):
             if prefix == "decoder.layer1.self_attn":
-                attended.append(prefix)
-            return real_attention(self, prefix, *args)
+                attended.extend(_images(tokens.data))
+            return real_attention(self, prefix, heads, tokens, *args)
 
         monkeypatch.setattr(SegmentationModel, "_attention", attention)
         cfg = _method_cfg(workspace, method)
@@ -979,7 +988,7 @@ class TestPerSampleWork:
         model = SegmentationModel(default_config().model)
         evaluate_model(model, samples, seed=0)
         evaluate_model(model, samples, seed=0)
-        assert len(clicks) == len(encodes) == 2 * len(samples)
+        assert len(clicks) == sum(len(_images(image)) for image, *_ in encodes) == 2 * len(samples)
 
 
 def _count_nodes(monkeypatch):
