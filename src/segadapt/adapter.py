@@ -20,7 +20,7 @@ from typing import Callable
 
 from .errors import ContractError, ValidationError
 from .model import SegmentationModel
-from .params import Init, ParameterRegistry, check_number, check_seed
+from .params import Init, ParameterRegistry, check_int, check_number
 from .tensor import Tensor, attention, linear
 
 METHODS = ("full_ft", "decoder_ft", "lora", "sam_da_dec", "sam_da_enc")
@@ -37,10 +37,11 @@ class AdapterConfig:
     init_scale: float = 0.02
 
     def __post_init__(self):
-        if self.num_prompts < 1:
-            raise ValidationError(f"num_prompts must be >= 1, got {self.num_prompts}")
-        if min(self.prompt_dim, self.key_dim, self.value_dim) < 1:
-            raise ValidationError("adapter dims must be >= 1")
+        for name in ("num_prompts", "prompt_dim", "key_dim", "value_dim"):
+            check_int(getattr(self, name), name, 1)
+        if self.encoder_adapted_blocks is not None:
+            # Its range, 1 to the model's depth, is checked as it attaches.
+            check_int(self.encoder_adapted_blocks, "encoder_adapted_blocks", 0)
         if self.placement not in ("decoder", "encoder"):
             raise ValidationError(f"placement must be 'decoder' or 'encoder', got {self.placement!r}")
         check_number(self.init_scale, "init_scale", 0.0, above=True)
@@ -64,8 +65,7 @@ class LoraConfig:
     targets: tuple[str, ...] = ("query", "value")
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValidationError(f"rank must be >= 1, got {self.rank}")
+        check_int(self.rank, "LoRA rank", 1)
         if self.alpha is not None:
             check_number(self.alpha, "LoRA alpha", 0.0, above=True)
         if not self.targets:
@@ -123,7 +123,7 @@ def attach_decoder_adapter(model: SegmentationModel, cfg: AdapterConfig, seed: i
         raise ValidationError(f"decoder attachment requires placement 'decoder', got {cfg.placement!r}")
     if model.dense_hook is not None:
         raise ContractError("model already has a dense hook")
-    check_seed(seed)
+    check_int(seed, "seed", 0)
     reg = model.registry
     for i in range(model.cfg.dec_depth):
         declare_adapter_layer(reg, f"adapter.dec{i}", model.cfg.dec_dim, cfg)
@@ -138,7 +138,7 @@ def attach_encoder_adapter(model: SegmentationModel, cfg: AdapterConfig, seed: i
         raise ValidationError(f"encoder attachment requires placement 'encoder', got {cfg.placement!r}")
     if model.encoder_hook is not None:
         raise ContractError("model already has an encoder hook")
-    check_seed(seed)
+    check_int(seed, "seed", 0)
     depth = model.cfg.enc_depth
     first = depth - cfg.resolved_encoder_blocks(depth)
     reg = model.registry
@@ -153,7 +153,7 @@ def attach_lora(model: SegmentationModel, cfg: LoraConfig, seed: int = 0) -> Non
     """Low-rank deltas on encoder attention projections; up-projection zero-init."""
     if model.lora_deltas:
         raise ContractError("model already has LoRA deltas")
-    check_seed(seed)
+    check_int(seed, "seed", 0)
     dim = model.cfg.enc_dim
     if cfg.rank > dim:
         raise ValidationError(f"rank {cfg.rank} exceeds projection dim {dim}")

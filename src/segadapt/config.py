@@ -24,7 +24,7 @@ from .data import read_json_object, write_json
 from .errors import ValidationError
 from .losses import LossConfig
 from .model import ModelConfig
-from .params import check_number, check_seed
+from .params import check_int, check_number
 
 CONFIG_VERSION = 1
 
@@ -51,14 +51,12 @@ class TrainSettings:
         if self.method not in METHODS:
             raise ValidationError(f"method {self.method!r} not one of {METHODS}")
         check_number(self.lr, "lr", 0.0, above=True)
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValidationError("epochs and batch_size must be at least 1")
-        check_seed(self.seed, "train seed")
+        check_int(self.epochs, "epochs", 1)
+        check_int(self.batch_size, "batch_size", 1)
+        check_int(self.seed, "train seed", 0)
         check_number(self.weight_decay, "weight_decay", 0.0)
-        if self.max_train_samples is not None and self.max_train_samples < 1:
-            raise ValidationError(
-                f"max_train_samples must be at least 1, got {self.max_train_samples}"
-            )
+        if self.max_train_samples is not None:
+            check_int(self.max_train_samples, "max_train_samples", 1)
 
 
 @dataclass(frozen=True)
@@ -76,13 +74,14 @@ class TTDASettings:
     split: str = "target_test"
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValidationError(f"iterations must be >= 1, got {self.iterations}")
+        check_int(self.iterations, "iterations", 1)
         check_number(self.lr, "ttda lr", 0.0, above=True)
-        check_seed(self.seed, "ttda seed")
+        check_int(self.seed, "ttda seed", 0)
         for name in ("lambda_entropy", "lambda_proximity", "lambda_contrastive"):
             check_number(getattr(self, name), name, 0.0)
-        if not 0 < self.positive_offset < self.negative_min_offset:
+        check_int(self.positive_offset, "positive_offset", 1)
+        check_int(self.negative_min_offset, "negative_min_offset", 1)
+        if not self.positive_offset < self.negative_min_offset:
             raise ValidationError(
                 f"offsets must satisfy 0 < positive ({self.positive_offset}) "
                 f"< negative_min ({self.negative_min_offset})"

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 
 from .errors import ContractError, FormatError, ValidationError
-from .params import check_number, check_seed
+from .params import check_int, check_number
 
 SLICES_PER_VOLUME = 10
 
@@ -74,12 +74,11 @@ class DomainConfig:
             v = getattr(self, field_name)
             if isinstance(v, list):
                 object.__setattr__(self, field_name, tuple(v))
-        if self.image_size < 8:
-            raise ValidationError(f"image_size {self.image_size} too small")
-        check_seed(self.seed, f"domain {self.name!r} seed")
+        check_int(self.image_size, "image_size", 8)
+        check_int(self.seed, f"domain {self.name!r} seed", 0)
         lo, hi = self.num_blobs
-        if not 1 <= lo <= hi:
-            raise ValidationError(f"num_blobs range {self.num_blobs} invalid")
+        check_int(lo, "num_blobs lower end", 1)
+        check_int(hi, "num_blobs upper end", lo)
         rlo, rhi = self.blob_radius
         check_number(rlo, "blob_radius lower end", 1.0)
         check_number(rhi, "blob_radius upper end", rlo, high=self.image_size / 3)
@@ -355,8 +354,7 @@ class SplitSizes:
 
     def __post_init__(self):
         for split, count in asdict(self).items():
-            if count < 1:
-                raise ValidationError(f"split {split} must have at least one sample")
+            check_int(count, f"split {split} size", 1)
             if count % SLICES_PER_VOLUME:
                 raise ValidationError(
                     f"split {split} size {count} not divisible by {SLICES_PER_VOLUME} "

@@ -53,7 +53,7 @@ from .losses import (
     weighted_sum,
 )
 from .model import DecoderState, ModelConfig, PromptSet, SegmentationModel
-from .params import AdamWState, adamw_step, check_seed
+from .params import AdamWState, adamw_step, check_int
 from .stats import paired_t_test
 from .tensor import Tensor, backward, grad_enabled, no_grad, stack
 
@@ -167,9 +167,10 @@ def evaluate_model(
     return EvalResult.from_scores(scores)
 
 
-def _frozen_inputs(model: SegmentationModel, seed: int) -> Inputs:
+def _frozen_inputs(model: SegmentationModel, seed: int, samples: Sequence[Sample]) -> Inputs:
     """``inputs(sample)``: the (prompts, image embedding, decoder prefix)
-    triple a forward of that sample may use within one stage call.
+    triple a forward of that sample may use within one stage call, whose
+    samples are ``samples``.
 
     Keyed by the loaded Sample object alone.  The sample's seeded click is
     drawn on its first call and kept.  The tape decides what else is kept.
@@ -185,6 +186,14 @@ def _frozen_inputs(model: SegmentationModel, seed: int) -> Inputs:
     kept and each forward encodes for itself (a validation pass then records
     no tape).  The caller must not change frozen weights, or which weights
     train, while it uses the helper.
+
+    The first miss with the tape on encodes its one image and gives the
+    tape's verdict.  If that embedding is off the tape, the memo fills
+    itself: every other sample of ``samples`` is encoded, with its prompts
+    and prefix if the first prefix was off the tape too, ``EVAL_BATCH``
+    images per stacked no-grad forward, each image bit-identical to its own
+    forward.  Forwards still run one image; a sample outside ``samples`` is
+    served by the miss path.
     """
     # Keyed on object identity; each click entry keeps its sample alive so
     # the id cannot be reused by another object.
@@ -192,12 +201,31 @@ def _frozen_inputs(model: SegmentationModel, seed: int) -> Inputs:
     frozen: dict[int, tuple[Tensor, DecoderState | None]] = {}
     taped = False
 
-    def inputs(s: Sample):
-        nonlocal taped
+    def click(s: Sample) -> PromptSet:
         key = id(s)
         if key not in clicks:
             clicks[key] = (s, _click(s, seed))
-        prompts = clicks[key][1]
+        return clicks[key][1]
+
+    def fill(keep_prefix: bool) -> None:
+        todo = list({id(s): s for s in samples if id(s) not in frozen}.values())
+        with no_grad():
+            for chunk in _chunks(todo, EVAL_BATCH):
+                prompts = [click(s) for s in chunk]
+                embeddings = model.encode_image(np.stack([s.image for s in chunk]))
+                prefixes = None
+                if keep_prefix:
+                    prefixes = model.decoder_prefix(embeddings, model.encode_prompts(prompts))
+                for j, s in enumerate(chunk):
+                    prefix = None
+                    if prefixes is not None:
+                        prefix = DecoderState(Tensor(prefixes.tokens.data[j]), Tensor(prefixes.dense.data[j]))
+                    frozen[id(s)] = (Tensor(embeddings.data[j]), prefix)
+
+    def inputs(s: Sample):
+        nonlocal taped
+        key = id(s)
+        prompts = click(s)
         if key in frozen:
             return (prompts, *frozen[key])
         if taped or not grad_enabled():
@@ -208,7 +236,10 @@ def _frozen_inputs(model: SegmentationModel, seed: int) -> Inputs:
             return prompts, embedding, None
         prefix = model.decoder_prefix(embedding, model.encode_prompts(prompts))
         off_tape = not (prefix.tokens.requires_grad or prefix.dense.requires_grad)
+        first = not frozen
         frozen[key] = (embedding, prefix if off_tape else None)
+        if first:
+            fill(off_tape)
         return prompts, embedding, prefix
 
     return inputs
@@ -349,7 +380,7 @@ def train_supervised(cfg: RunConfig, data_root: str | Path, out_dir: str | Path)
 
     opt = AdamWState(lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([_SHUFFLE_TAG, seed]))
-    inputs = _frozen_inputs(model, seed)
+    inputs = _frozen_inputs(model, seed, [*val_samples, *train_samples])
 
     val = evaluate_model(model, val_samples, seed, inputs)
     val_curve = [val.mean]
@@ -414,7 +445,7 @@ def evaluate_checkpoint(
     seed: int = 0,
     report_path: str | Path | None = None,
 ) -> dict:
-    check_seed(seed, "eval seed")
+    check_int(seed, "eval seed", 0)
     if report_path is not None:
         write_file(report_path, b"")  # a path that cannot be written fails before the pass
     manifest = load_manifest(data_root)
@@ -574,7 +605,7 @@ def run_ttda(
         # Memos live for one volume: a sample's positive and negatives are
         # slices of its own volume.  Every slice's unadapted forward runs
         # before any sample adapts, so all run under the reference weights.
-        inputs = _frozen_inputs(model, settings.seed)
+        inputs = _frozen_inputs(model, settings.seed, run)
         unadapted = {(s.volume_id, s.slice_index): _unadapted(model, inputs, s) for s in run}
         for s in run:
             records.append(_ttda_sample(model, s, cfg, inputs, unadapted))

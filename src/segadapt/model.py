@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .losses import mask_from_logits
-from .params import Init, ParameterRegistry, check_seed
+from .params import Init, ParameterRegistry, check_int
 from .tensor import (
     Tensor,
     attention,
@@ -56,16 +56,16 @@ class ModelConfig:
 
     def __post_init__(self):
         # Sizes first: the divisibility checks below divide by them.
+        for name in ("image_size", "patch_size", "enc_dim", "enc_depth", "enc_heads", "dec_dim",
+                     "dec_depth", "dec_heads", "num_mask_tokens", "mlp_ratio"):
+            check_int(getattr(self, name), name, 1)
+        check_int(self.seed, "model seed", 0)
         if self.patch_size < 2 or self.patch_size & (self.patch_size - 1):
             raise ValidationError(f"patch_size {self.patch_size} must be a power of two >= 2")
-        if self.image_size <= 0 or self.image_size % self.patch_size:
+        if self.image_size % self.patch_size:
             raise ValidationError(
-                f"image_size {self.image_size} must be a positive multiple of patch_size {self.patch_size}"
+                f"image_size {self.image_size} must be a multiple of patch_size {self.patch_size}"
             )
-        if min(self.enc_dim, self.enc_heads, self.enc_depth,
-               self.dec_dim, self.dec_heads, self.dec_depth, self.mlp_ratio) < 1:
-            raise ValidationError("dims, heads, depths and mlp_ratio must be >= 1")
-        check_seed(self.seed, "model seed")
         if self.enc_dim % self.enc_heads:
             raise ValidationError(f"enc_dim {self.enc_dim} not divisible by enc_heads {self.enc_heads}")
         if self.dec_dim % self.dec_heads:

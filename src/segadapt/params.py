@@ -19,11 +19,12 @@ from .errors import ContractError, ValidationError
 from .tensor import Tensor
 
 
-def check_seed(seed, what: str = "seed") -> None:
-    """Refuse, with ValidationError, a seed that is not an int >= 0 (a bool
-    is not one)."""
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValidationError(f"{what} must be an int >= 0, got {seed!r}")
+def check_int(value, what: str, low: int) -> None:
+    """Refuse, with ValidationError, a value that is not an int >= ``low``
+    (a bool is not one).  Every integer rule of a config, seeds included,
+    goes through here before any arithmetic on the value."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValidationError(f"{what} must be an int >= {low}, got {value!r}")
 
 
 def check_number(value, what: str, low: float, *, above: bool = False, high: float | None = None) -> None:
@@ -145,7 +146,7 @@ class ParameterRegistry:
         that raises changes nothing; then each value is written, as it is
         drawn, into the parameter's own array.
         """
-        check_seed(seed)
+        check_int(seed, "seed", 0)
         names = sorted(self._params) if only is None else sorted(set(only))
         params = [self.param(name) for name in names]
         for param in params:

@@ -245,6 +245,24 @@ BAD_VALUES = [
     (("data", "source"), "gamma", math.inf),
     (("data", "target"), "noise_sigma", -math.inf),
     (("data", "target"), "speckle_sigma", math.nan),
+    # Every integer field refuses a bool, a non-int and a value below its floor.
+    (("train",), "epochs", math.nan),
+    (("train",), "epochs", True),
+    (("train",), "batch_size", 2.5),
+    (("train",), "max_train_samples", 2.5),
+    (("ttda",), "iterations", math.inf),
+    (("ttda",), "positive_offset", 1.5),
+    (("lora",), "rank", 1.5),
+    (("model",), "enc_depth", 1.5),
+    (("model",), "patch_size", 2.5),
+    (("model",), "enc_dim", "8"),
+    (("model",), "dec_depth", False),
+    (("adapter",), "num_prompts", 1.5),
+    (("adapter",), "encoder_adapted_blocks", 2.5),
+    (("adapter",), "encoder_adapted_blocks", -1),
+    (("data", "sizes"), "source_train", 30.0),
+    (("data", "source"), "image_size", 64.0),
+    (("data", "target"), "num_blobs", (1.5, 3)),
 ]
 
 

@@ -9,14 +9,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import segadapt.engine as engine
 import segadapt.tensor as tensor
 from chains import ENGINE_LOSSES
+from test_image_stacks import tiny_configs
 from segadapt.adapter import METHODS, trainable_predicate
 from segadapt.checkpoint import dump_bytes, load_bytes, restore
 from segadapt.config import default_config
-from segadapt.data import SplitSizes, generate_dataset, load_manifest, load_split
+from segadapt.data import SLICES_PER_VOLUME, SplitSizes, generate_dataset, load_manifest, load_split
 from segadapt.engine import (
     ABLATION_SIZES,
     ENTROPY_FLOOR,
@@ -65,6 +67,11 @@ def _images(x) -> list:
     """The images of ``x``: a stack's, or ``x`` itself (evaluation encodes
     and decodes its images in stacks, every other stage one at a time)."""
     return list(x) if np.ndim(x) == 3 else [x]
+
+
+def _prompt_sets(calls) -> list:
+    """The prompt sets ``encode_prompts`` calls were given: a stack's, or one."""
+    return [p for (prompts,) in calls for p in ([prompts] if isinstance(prompts, PromptSet) else prompts)]
 
 
 def _count_calls(monkeypatch, cls, name):
@@ -727,8 +734,8 @@ class TestTTDAMemoScope:
         alive = set()
         real_inputs, real_sample = engine._frozen_inputs, engine._ttda_sample
 
-        def recording_inputs(model, seed):
-            inputs = real_inputs(model, seed)
+        def recording_inputs(model, seed, samples):
+            inputs = real_inputs(model, seed, samples)
 
             def recorded(s):
                 prompts, embedding, prefix = inputs(s)
@@ -790,13 +797,13 @@ MEMO_KEEPS = {
 def _memo_keeps(model, s):
     """Whether a stage's memo keeps the embedding and the decoder prefix of
     sample ``s``: a second call hands back the first call's objects."""
-    inputs = engine._frozen_inputs(model, 0)
+    inputs = engine._frozen_inputs(model, 0, [s])
     first, again = inputs(s), inputs(s)
     assert again[0] is first[0]  # the click is kept whatever trains
     return again[1] is first[1], again[2] is not None and again[2] is first[2]
 
 
-def _without_memo(model, seed):
+def _without_memo(model, seed, samples):
     """``_frozen_inputs`` with nothing kept: every forward draws its click
     and encodes the image, the prompts, layer 0 and layer 1's tokens."""
     return lambda s: (interior_prompt(s.mask, prompt_rng(seed, s.volume_id, s.slice_index)), None, None)
@@ -845,6 +852,17 @@ class TestDecoderPrefixRule:
         assert _memo_keeps(model, samples[0]) == (True, False)
 
 
+def _stack_sizes(calls) -> list[int]:
+    """Images per ``encode_image`` call."""
+    return [len(_images(image)) for (image,) in calls]
+
+
+def _fill_sizes(n: int) -> list[int]:
+    """Images per encode of a stage of ``n`` samples whose first taped miss
+    comes back off the tape: that one, then the rest ``EVAL_BATCH`` at a time."""
+    return [1] + [len(chunk) for chunk in engine._chunks(range(n - 1), engine.EVAL_BATCH)]
+
+
 class TestEmbeddingCache:
     @pytest.mark.parametrize("method", list(MEMO_KEEPS))
     def test_cached_runs_equal_uncached_runs(self, workspace, tmp_path, monkeypatch, method):
@@ -864,8 +882,8 @@ class TestEmbeddingCache:
     @pytest.mark.parametrize("method", ["full_ft", "sam_da_dec"])
     def test_nothing_computed_under_no_grad_is_kept(self, samples, monkeypatch, method):
         # Every result under no_grad is off the tape, trainable weights or not.
-        inputs = engine._frozen_inputs(_attached(method), 0)
         s = samples[0]
+        inputs = engine._frozen_inputs(_attached(method), 0, [s])
         with no_grad():
             inputs(s)
         calls = _count_calls(monkeypatch, SegmentationModel, "encode_image")
@@ -873,38 +891,68 @@ class TestEmbeddingCache:
         assert len(calls) == 1
         assert embedding.requires_grad is (method == "full_ft")
 
-    @pytest.mark.parametrize("method", ["sam_da_dec", "full_ft"])
+    @pytest.mark.parametrize("method", ["sam_da_dec", "full_ft", "lora", "sam_da_enc"])
     def test_encoder_passes(self, workspace, tmp_path, monkeypatch, method):
-        images = []
-        encode_image = SegmentationModel.encode_image
-
-        def counting(self, image):
-            images.extend(_images(image))
-            return encode_image(self, image)
-
-        monkeypatch.setattr(SegmentationModel, "encode_image", counting)
+        calls = _count_calls(monkeypatch, SegmentationModel, "encode_image")
         cfg = _method_cfg(workspace, method)
         fragment = train_supervised(cfg, workspace["data"], tmp_path / "run")
         epochs, n_train, n_val = cfg.train.epochs, fragment["train_samples"], SIZES.source_val
+        images = [image for (x,) in calls for image in _images(x)]
         # Told apart by content: a stack holds copies of the samples' images.
         distinct = len({image.tobytes() for image in images})
         assert distinct == n_train + n_val
-        if method == "full_ft":
-            # one pass per training step and per validation prediction
+        if method != "sam_da_dec":
+            # The encoder trains: one pass per training step and per
+            # validation prediction, the first miss's taped one included.
             assert len(images) == epochs * n_train + (epochs + 1) * n_val
             return
+        # Each image once: the first miss, then the rest of the stage in stacks.
         assert len(images) == distinct
-        images.clear()
+        assert _stack_sizes(calls) == _fill_sizes(distinct)
+        calls.clear()
         ttda = run_ttda(fragment["checkpoint"], workspace["data"], cfg)
+        images = [image for (x,) in calls for image in _images(x)]
         assert len(images) == len({image.tobytes() for image in images}) == ttda["count"]
+        assert _stack_sizes(calls) == _fill_sizes(SLICES_PER_VOLUME) * (ttda["count"] // SLICES_PER_VOLUME)
+
+
+class TestMemoOverRandomModels:
+    """Memo on and memo off give the same bytes on random tiny models.  What
+    the memo keeps is what comes back off the tape, and that rests on the
+    encoder and decoder depths (at depth 1 the prefix holds no layer 1),
+    the adapted encoder blocks and the LoRA targets."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @settings(max_examples=8, deadline=None)
+    @given(config=tiny_configs())
+    def test_runs_equal_runs_without_it(self, workspace, tmp_path_factory, method, config):
+        model_cfg, adapter, lora = config
+        cfg = workspace["cfg"]
+        cfg = replace(
+            cfg, model=model_cfg, adapter=adapter, lora=lora,
+            train=replace(cfg.train, method=method, epochs=1, max_train_samples=4),
+            ttda=replace(cfg.ttda, iterations=1),
+        )
+        root = tmp_path_factory.mktemp("memo")
+        runs = {}
+        for cached in (True, False):
+            with pytest.MonkeyPatch.context() as m:
+                if not cached:
+                    m.setattr(engine, "_frozen_inputs", _without_memo)
+                train = train_supervised(cfg, workspace["data"], root / f"cached_{cached}")
+                ttda = run_ttda(train["checkpoint"], workspace["data"], cfg)
+            runs[cached] = (
+                Path(train["checkpoint"]).read_bytes(), _drop_path(train), _drop_path(ttda)
+            )
+        assert runs[True] == runs[False]
 
 
 class TestDecoderPrefixCache:
     def test_runs_equal_runs_without_it(self, workspace, tmp_path, monkeypatch):
         real_inputs = engine._frozen_inputs
 
-        def without_prefix(model, seed):
-            inputs = real_inputs(model, seed)
+        def without_prefix(model, seed, samples):
+            inputs = real_inputs(model, seed, samples)
             return lambda s: (*inputs(s)[:2], None)
 
         cfg = _method_cfg(workspace, "sam_da_dec")
@@ -924,11 +972,87 @@ class TestDecoderPrefixCache:
         calls = _count_calls(monkeypatch, SegmentationModel, "encode_prompts")
         cfg = _method_cfg(workspace, "sam_da_dec")
         fragment = train_supervised(cfg, workspace["data"], tmp_path / "run")
-        # Each sample has one seeded prompt set, reused by every epoch.
-        assert len(calls) == fragment["train_samples"] + SIZES.source_val
+        # Each sample has one seeded prompt set, reused by every epoch; the
+        # memo encodes them in stacks.
+        assert len(_prompt_sets(calls)) == fragment["train_samples"] + SIZES.source_val
         calls.clear()
         ttda = run_ttda(fragment["checkpoint"], workspace["data"], cfg)
-        assert len(calls) == ttda["count"]
+        assert len(_prompt_sets(calls)) == ttda["count"]
+
+
+class TestStackedFill:
+    """Once the stage's first taped miss comes back off the tape, the memo
+    encodes every other sample of the stage in stacks of ``EVAL_BATCH``
+    (``TestEmbeddingCache.test_encoder_passes`` counts the images)."""
+
+    def test_a_trained_decoder_keeps_embeddings_and_no_prefix(self, samples, monkeypatch):
+        inputs = engine._frozen_inputs(_attached("decoder_ft"), 0, samples)
+        first = [inputs(s) for s in samples]
+        calls = _count_calls(monkeypatch, SegmentationModel, "encode_image")
+        again = [inputs(s) for s in samples]
+        assert calls == []
+        assert all(a[1] is f[1] and a[2] is None for a, f in zip(again, first))
+        assert first[0][2].tokens.requires_grad  # the verdict's prefix serves its own forward
+
+    def test_kept_values_are_each_image_alone(self, samples):
+        model = _attached("sam_da_dec")
+        inputs = engine._frozen_inputs(model, 0, samples)
+        for s, (prompts, embedding, prefix) in [(s, inputs(s)) for s in samples]:
+            with no_grad():
+                alone = model.encode_image(s.image)
+                alone_prefix = model.decoder_prefix(alone, model.encode_prompts(prompts))
+            assert embedding.data.tobytes() == alone.data.tobytes()
+            assert prefix.tokens.data.tobytes() == alone_prefix.tokens.data.tobytes()
+            assert prefix.dense.data.tobytes() == alone_prefix.dense.data.tobytes()
+
+    def test_a_sample_outside_the_stage_is_served_by_the_miss_path(self, samples, monkeypatch):
+        inputs = engine._frozen_inputs(_attached("sam_da_dec"), 0, samples[:3])
+        inputs(samples[0])
+        calls = _count_calls(monkeypatch, SegmentationModel, "encode_image")
+        outside = inputs(samples[5])
+        assert _stack_sizes(calls) == [1]
+        again = inputs(samples[5])
+        assert again[1] is outside[1] and again[2] is outside[2] is not None
+        assert _stack_sizes(calls) == [1]
+
+    def test_a_sample_listed_twice_is_encoded_once(self, samples, monkeypatch):
+        calls = _count_calls(monkeypatch, SegmentationModel, "encode_image")
+        a, b, c = samples[:3]
+        inputs = engine._frozen_inputs(_attached("sam_da_dec"), 0, [a, b, b, a, c, b])
+        inputs(a)
+        assert _stack_sizes(calls) == [1, 2]
+
+    @pytest.mark.parametrize("method, step_nodes", [("sam_da_dec", 73), ("decoder_ft", 92)])
+    def test_tape_nodes_per_step_and_iteration(self, workspace, tmp_path, monkeypatch, method, step_nodes):
+        # Nodes that land on the tape between one backward and the next:
+        # every training step records what it did before the memo filled in
+        # stacks, and so does every TTDA iteration.  The first interval also
+        # holds the stage's first miss.
+        recorded = [0]
+        real_node = tensor._node
+
+        def counting(data, parents, grad_fn):
+            out = real_node(data, parents, grad_fn)
+            recorded[0] += out.requires_grad
+            return out
+
+        steps = []
+        real_backward = engine.backward
+
+        def backward(loss):
+            steps.append(recorded[0])
+            recorded[0] = 0
+            real_backward(loss)
+
+        monkeypatch.setattr(tensor, "_node", counting)
+        monkeypatch.setattr(engine, "backward", backward)
+        cfg = _method_cfg(workspace, method)
+        fragment = train_supervised(cfg, workspace["data"], tmp_path / "run")
+        assert len(steps) == cfg.train.epochs * fragment["train_samples"]
+        assert set(steps[1:]) == {step_nodes}
+        steps.clear()
+        ttda = run_ttda(fragment["checkpoint"], workspace["data"], cfg)
+        assert steps == [74] * ttda["count"] * cfg.ttda.iterations
 
 
 def _count_clicks(monkeypatch):
@@ -966,8 +1090,10 @@ class TestPerSampleWork:
         assert len(clicks) == len({id(mask) for mask in clicks}) == n_train + n_val
         if method == "decoder_ft":
             # layer 1 trains: one self-attention per training step and per
-            # validation prediction
-            assert len(attended) == epochs * n_train + (epochs + 1) * n_val
+            # validation prediction, plus the stage's first miss, whose taped
+            # prefix gives the tape's verdict and whose validation chunk then
+            # decodes from the embeddings the memo filled
+            assert len(attended) == epochs * n_train + (epochs + 1) * n_val + 1
             return
         assert len(attended) == n_train + n_val
         clicks.clear()

@@ -211,7 +211,7 @@ def assert_evaluation_is_per_image(model, samples, seed, memo_passes=2):
         return pred
 
     model.predict = recording
-    memo = engine._frozen_inputs(model, seed)
+    memo = engine._frozen_inputs(model, seed, samples)
     for inputs in [None] + [memo] * memo_passes:
         logits.clear()
         assert engine.evaluate_model(model, samples, seed, inputs).per_image == scores
@@ -251,9 +251,9 @@ class TestEvaluateInChunks:
 
 
 @st.composite
-def tiny_runs(draw):
-    """A random tiny model and one method on it: the knobs the memo's rule
-    and the stacked forward depend on."""
+def tiny_configs(draw):
+    """A random tiny model, and adapter and LoRA configs for it: the knobs
+    the memo's rule and the stacked forward depend on."""
     enc_heads, dec_heads = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
     enc_depth = draw(st.integers(1, 3))
     model_cfg = ModelConfig(
@@ -266,6 +266,13 @@ def tiny_runs(draw):
     projections = st.sampled_from(["query", "key", "value", "out"])
     targets = draw(st.lists(projections, min_size=1, max_size=4, unique=True))
     lora = LoraConfig(rank=draw(st.integers(1, 4)), targets=tuple(targets))
+    return model_cfg, adapter, lora
+
+
+@st.composite
+def tiny_runs(draw):
+    """A random tiny model, one method on it and a number of images."""
+    model_cfg, adapter, lora = draw(tiny_configs())
     method = draw(st.sampled_from(METHODS))
     return model_cfg, method, adapter, lora, draw(st.integers(1, 11))
 
