@@ -529,6 +529,8 @@ def load_split(root: str | Path, manifest: dict, split: str) -> list[Sample]:
         raise ValidationError(
             f"split {split!r} declares count {count} but lists {len(paths)} files"
         )
+    if not paths:
+        raise ValidationError(f"split {split!r} lists no samples")
     samples = []
     for rel, path in paths:
         blob = read_file(path, f"split {split!r} lists {rel!r}, which cannot be read: sample")

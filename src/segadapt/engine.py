@@ -144,9 +144,9 @@ def evaluate_model(
     image and prompt is encoded).
 
     Images run ``EVAL_BATCH`` at a time, each chunk as one stacked forward
-    whose every image is bit-identical to its own forward.  A chunk reuses
-    the memo's decoder prefixes if every sample has one, else whatever
-    embeddings it has; the rest of its images are encoded as one stack.
+    whose every image is bit-identical to its own forward.  A chunk stacks
+    the memo's decoder prefixes if every sample has one, else its embeddings
+    if every sample has one, else it encodes the whole chunk.
     """
     scores = []
     for chunk in _chunks(samples, EVAL_BATCH):
@@ -157,11 +157,8 @@ def evaluate_model(
         with no_grad():
             if all(p is not None for p in prefixes):
                 prefix = DecoderState(stack(p.tokens for p in prefixes), stack(p.dense for p in prefixes))
-            elif any(e is not None for e in embeddings):
-                # A memo that keeps no embedding still hands out its stage's first one.
-                todo = [j for j, e in enumerate(embeddings) if e is None]
-                fresh = iter(model.encode_image(images[todo]).data if todo else ())
-                embedding = stack(e if e is not None else Tensor(next(fresh)) for e in embeddings)
+            elif all(e is not None for e in embeddings):
+                embedding = stack(embeddings)
         pred = model.predict(images, prompts, embedding, prefix)
         scores += [compute_iou(mask, s.mask) for mask, s in zip(pred.mask, chunk)]
     return EvalResult.from_scores(scores)
@@ -169,80 +166,53 @@ def evaluate_model(
 
 def _frozen_inputs(model: SegmentationModel, seed: int, samples: Sequence[Sample]) -> Inputs:
     """``inputs(sample)``: the (prompts, image embedding, decoder prefix)
-    triple a forward of that sample may use within one stage call, whose
-    samples are ``samples``.
+    triple a forward of one of ``samples`` may use within one stage call.
 
-    Keyed by the loaded Sample object alone.  The sample's seeded click is
-    drawn on its first call and kept.  The tape decides what else is kept.
-    Recorded with the tape on, a result that comes back off it (no
-    ``requires_grad``) was fed by no trainable parameter, hook or LoRA
-    delta, so it stays valid while the caller trains.  An off-tape embedding
-    is kept -- SAM's split: the heavy image encoder once per image, the
-    prompt encoder and decoder once per prompt -- and so is the decoder
-    prefix (layer 0's state and layer 1's self-attended tokens) when that is
-    off the tape too.  Under ``no_grad`` every result is off the tape, so
-    nothing but the click is kept.  Once an embedding comes back on the
-    tape, something that feeds the encoder trains, so no later one can be
-    kept and each forward encodes for itself (a validation pass then records
-    no tape).  The caller must not change frozen weights, or which weights
-    train, while it uses the helper.
+    Everything is decided here, once.  Each sample's seeded click is drawn
+    and kept whatever trains.  With the tape on, the first sample's image is
+    encoded as the tape's probe.  An embedding that comes back off the tape
+    (no ``requires_grad``) was fed by no trainable parameter, hook or LoRA
+    delta, so it stays valid while the caller trains: every sample's
+    embedding is kept -- SAM's split: the heavy image encoder once per
+    image, the prompt encoder and decoder once per prompt.  Every decoder
+    prefix (layer 0's state and layer 1's self-attended tokens) is kept too
+    if the first one comes back off the tape.  The first sample keeps its
+    values as they came back; the rest are encoded ``EVAL_BATCH`` images per
+    stacked no-grad forward, each image bit-identical to its own forward.
+    Otherwise, or when built under ``no_grad`` (where every result is off
+    the tape), only the clicks are kept and each forward encodes for itself.
+    The caller must not change frozen weights, or which weights train, while
+    it uses the memo.
 
-    The first miss with the tape on encodes its one image and gives the
-    tape's verdict.  If that embedding is off the tape, the memo fills
-    itself: every other sample of ``samples`` is encoded, with its prompts
-    and prefix if the first prefix was off the tape too, ``EVAL_BATCH``
-    images per stacked no-grad forward, each image bit-identical to its own
-    forward.  Forwards still run one image; a sample outside ``samples`` is
-    served by the miss path.
+    Under ``decoder_ft`` the probe's prefix comes back on the tape (34
+    nodes, once per call) and is dropped.  It is the tape's verdict: telling
+    beforehand whether the prefix would be kept needs rules on parameter
+    names that say what feeds it, a second source of truth beside the tape.
     """
-    # Keyed on object identity; each click entry keeps its sample alive so
-    # the id cannot be reused by another object.
-    clicks: dict[int, tuple[Sample, PromptSet]] = {}
-    frozen: dict[int, tuple[Tensor, DecoderState | None]] = {}
-    taped = False
-
-    def click(s: Sample) -> PromptSet:
-        key = id(s)
-        if key not in clicks:
-            clicks[key] = (s, _click(s, seed))
-        return clicks[key][1]
-
-    def fill(keep_prefix: bool) -> None:
-        todo = list({id(s): s for s in samples if id(s) not in frozen}.values())
-        with no_grad():
-            for chunk in _chunks(todo, EVAL_BATCH):
-                prompts = [click(s) for s in chunk]
-                embeddings = model.encode_image(np.stack([s.image for s in chunk]))
-                prefixes = None
-                if keep_prefix:
-                    prefixes = model.decoder_prefix(embeddings, model.encode_prompts(prompts))
-                for j, s in enumerate(chunk):
-                    prefix = None
-                    if prefixes is not None:
-                        prefix = DecoderState(Tensor(prefixes.tokens.data[j]), Tensor(prefixes.dense.data[j]))
-                    frozen[id(s)] = (Tensor(embeddings.data[j]), prefix)
-
-    def inputs(s: Sample):
-        nonlocal taped
-        key = id(s)
-        prompts = click(s)
-        if key in frozen:
-            return (prompts, *frozen[key])
-        if taped or not grad_enabled():
-            return prompts, None, None  # the forward encodes under the caller's tape setting
-        embedding = model.encode_image(s.image)
-        if embedding.requires_grad:
-            taped = True
-            return prompts, embedding, None
-        prefix = model.decoder_prefix(embedding, model.encode_prompts(prompts))
-        off_tape = not (prefix.tokens.requires_grad or prefix.dense.requires_grad)
-        first = not frozen
-        frozen[key] = (embedding, prefix if off_tape else None)
-        if first:
-            fill(off_tape)
-        return prompts, embedding, prefix
-
-    return inputs
+    unique = list({id(s): s for s in samples}.values())
+    clicks = [_click(s, seed) for s in unique]
+    embeddings: list[Tensor | None] = [None] * len(unique)
+    prefixes: list[DecoderState | None] = [None] * len(unique)
+    if grad_enabled():
+        embedding = model.encode_image(unique[0].image)
+        if not embedding.requires_grad:
+            prefix = model.decoder_prefix(embedding, model.encode_prompts(clicks[0]))
+            keep_prefix = not (prefix.tokens.requires_grad or prefix.dense.requires_grad)
+            embeddings[0], prefixes[0] = embedding, prefix if keep_prefix else None
+            with no_grad():
+                for start in range(1, len(unique), EVAL_BATCH):
+                    part = slice(start, start + EVAL_BATCH)
+                    stacked = model.encode_image(np.stack([s.image for s in unique[part]]))
+                    embeddings[part] = [Tensor(e) for e in stacked.data]
+                    if keep_prefix:
+                        state = model.decoder_prefix(stacked, model.encode_prompts(clicks[part]))
+                        prefixes[part] = [
+                            DecoderState(Tensor(t), Tensor(d)) for t, d in zip(state.tokens.data, state.dense.data)
+                        ]
+    # Keyed on object identity; each entry keeps its sample alive so the id
+    # cannot be reused by another object.
+    memo = {id(s): (s, (c, e, p)) for s, c, e, p in zip(unique, clicks, embeddings, prefixes)}
+    return lambda s: memo[id(s)][1]
 
 
 # -- checkpoint + sidecar -----------------------------------------------------------
@@ -480,9 +450,8 @@ def evaluate_checkpoint(
 def _unadapted(model: SegmentationModel, inputs: Inputs, s: Sample) -> tuple[Tensor, np.ndarray]:
     """A slice's logits and pooled dense embedding under the weights the
     model holds; ``run_ttda`` calls it only while those are the reference."""
-    reused = inputs(s)  # with the tape on, so the memo keeps what is off it
     with no_grad():
-        out = model.forward(s.image, *reused)
+        out = model.forward(s.image, *inputs(s))
     return out.logits, out.dense.data.mean(axis=0)
 
 

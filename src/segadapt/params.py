@@ -99,6 +99,12 @@ class Parameter:
         return self.tensor.requires_grad
 
 
+# The most values one registry holds (400 MB as float32; the gate's model
+# has 1.47 M).  ``add`` refuses a parameter that would take it past this, so
+# a config naming a model too large to build fails before numpy allocates.
+MAX_ELEMENTS = 10**8
+
+
 class ParameterRegistry:
     """Flat mapping of dotted-path names to parameters.
 
@@ -121,6 +127,7 @@ class ParameterRegistry:
         self.dtype = dtype
         self.expected = expected
         self._params: dict[str, Parameter] = {}
+        self._elements = 0  # values in every parameter added so far
 
     def add(self, name: str, shape: tuple[int, ...], init: Init) -> Parameter:
         if name in self._params:
@@ -132,6 +139,13 @@ class ParameterRegistry:
                 raise ContractError(
                     f"shape mismatch for {name!r}: checkpoint {self.expected[name]}, registry {tuple(shape)}"
                 )
+        elements = self._elements + math.prod(shape)
+        if elements > MAX_ELEMENTS:
+            raise ValidationError(
+                f"model too large: parameter {name!r} brings it to {elements:,} values, "
+                f"over the cap of {MAX_ELEMENTS:,}"
+            )
+        self._elements = elements
         tensor = Tensor(np.zeros(tuple(shape), dtype=self.dtype), requires_grad=True)
         param = Parameter(name, tensor, init)
         self._params[name] = param

@@ -292,6 +292,12 @@ class TestDatasetGeneration:
         with pytest.raises(ValidationError, match="count"):
             load_split(tmp_path, manifest, "source_val")
 
+    def test_load_split_rejects_a_split_that_lists_no_samples(self, tmp_path):
+        manifest = generate_dataset(tmp_path, sizes=SMALL)
+        manifest["splits"]["target_test"].update(count=0, volumes={})
+        with pytest.raises(ValidationError, match="split 'target_test' lists no samples"):
+            load_split(tmp_path, manifest, "target_test")
+
     def test_manifest_loads_and_validates(self, tmp_path):
         generate_dataset(tmp_path, sizes=SMALL)
         manifest = load_manifest(tmp_path)

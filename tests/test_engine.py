@@ -796,11 +796,12 @@ MEMO_KEEPS = {
 
 def _memo_keeps(model, s):
     """Whether a stage's memo keeps the embedding and the decoder prefix of
-    sample ``s``: a second call hands back the first call's objects."""
+    sample ``s``: a value it keeps is not None, and a second call hands back
+    the first call's objects."""
     inputs = engine._frozen_inputs(model, 0, [s])
     first, again = inputs(s), inputs(s)
     assert again[0] is first[0]  # the click is kept whatever trains
-    return again[1] is first[1], again[2] is not None and again[2] is first[2]
+    return tuple(a is not None and a is f for a, f in zip(again[1:], first[1:]))
 
 
 def _without_memo(model, seed, samples):
@@ -858,8 +859,9 @@ def _stack_sizes(calls) -> list[int]:
 
 
 def _fill_sizes(n: int) -> list[int]:
-    """Images per encode of a stage of ``n`` samples whose first taped miss
-    comes back off the tape: that one, then the rest ``EVAL_BATCH`` at a time."""
+    """Images per encode of a stage of ``n`` samples whose taped probe of
+    the first image comes back off the tape: that one, then the rest
+    ``EVAL_BATCH`` at a time."""
     return [1] + [len(chunk) for chunk in engine._chunks(range(n - 1), engine.EVAL_BATCH)]
 
 
@@ -880,16 +882,23 @@ class TestEmbeddingCache:
         assert runs[True] == runs[False]
 
     @pytest.mark.parametrize("method", ["full_ft", "sam_da_dec"])
-    def test_nothing_computed_under_no_grad_is_kept(self, samples, monkeypatch, method):
+    def test_a_memo_built_under_no_grad_keeps_only_clicks(self, samples, monkeypatch, method):
         # Every result under no_grad is off the tape, trainable weights or not.
-        s = samples[0]
-        inputs = engine._frozen_inputs(_attached(method), 0, [s])
-        with no_grad():
-            inputs(s)
+        model = _attached(method)
         calls = _count_calls(monkeypatch, SegmentationModel, "encode_image")
-        _, embedding, _ = inputs(s)
-        assert len(calls) == 1
-        assert embedding.requires_grad is (method == "full_ft")
+        with no_grad():
+            inputs = engine._frozen_inputs(model, 0, samples[:3])
+        assert calls == []
+        assert [inputs(s)[1:] for s in samples[:3]] == [(None, None)] * 3
+
+    def test_a_memo_built_with_the_tape_on_keeps_its_values_under_no_grad(self, samples, monkeypatch):
+        inputs = engine._frozen_inputs(_attached("sam_da_dec"), 0, samples[:3])
+        first = [inputs(s) for s in samples[:3]]
+        calls = _count_calls(monkeypatch, SegmentationModel, "encode_image")
+        with no_grad():
+            again = [inputs(s) for s in samples[:3]]
+        assert calls == []
+        assert all(a[1] is f[1] is not None and a[2] is f[2] is not None for a, f in zip(again, first))
 
     @pytest.mark.parametrize("method", ["sam_da_dec", "full_ft", "lora", "sam_da_enc"])
     def test_encoder_passes(self, workspace, tmp_path, monkeypatch, method):
@@ -903,10 +912,10 @@ class TestEmbeddingCache:
         assert distinct == n_train + n_val
         if method != "sam_da_dec":
             # The encoder trains: one pass per training step and per
-            # validation prediction, the first miss's taped one included.
-            assert len(images) == epochs * n_train + (epochs + 1) * n_val
+            # validation prediction, plus the memo's taped probe.
+            assert len(images) == epochs * n_train + (epochs + 1) * n_val + 1
             return
-        # Each image once: the first miss, then the rest of the stage in stacks.
+        # Each image once: the probe, then the rest of the stage in stacks.
         assert len(images) == distinct
         assert _stack_sizes(calls) == _fill_sizes(distinct)
         calls.clear()
@@ -981,9 +990,10 @@ class TestDecoderPrefixCache:
 
 
 class TestStackedFill:
-    """Once the stage's first taped miss comes back off the tape, the memo
-    encodes every other sample of the stage in stacks of ``EVAL_BATCH``
-    (``TestEmbeddingCache.test_encoder_passes`` counts the images)."""
+    """Once the taped probe of the stage's first image comes back off the
+    tape, the memo encodes every other sample of the stage in stacks of
+    ``EVAL_BATCH`` (``TestEmbeddingCache.test_encoder_passes`` counts the
+    images)."""
 
     def test_a_trained_decoder_keeps_embeddings_and_no_prefix(self, samples, monkeypatch):
         inputs = engine._frozen_inputs(_attached("decoder_ft"), 0, samples)
@@ -991,8 +1001,7 @@ class TestStackedFill:
         calls = _count_calls(monkeypatch, SegmentationModel, "encode_image")
         again = [inputs(s) for s in samples]
         assert calls == []
-        assert all(a[1] is f[1] and a[2] is None for a, f in zip(again, first))
-        assert first[0][2].tokens.requires_grad  # the verdict's prefix serves its own forward
+        assert all(a[1] is f[1] is not None and a[2] is None for a, f in zip(again, first))
 
     def test_kept_values_are_each_image_alone(self, samples):
         model = _attached("sam_da_dec")
@@ -1004,16 +1013,6 @@ class TestStackedFill:
             assert embedding.data.tobytes() == alone.data.tobytes()
             assert prefix.tokens.data.tobytes() == alone_prefix.tokens.data.tobytes()
             assert prefix.dense.data.tobytes() == alone_prefix.dense.data.tobytes()
-
-    def test_a_sample_outside_the_stage_is_served_by_the_miss_path(self, samples, monkeypatch):
-        inputs = engine._frozen_inputs(_attached("sam_da_dec"), 0, samples[:3])
-        inputs(samples[0])
-        calls = _count_calls(monkeypatch, SegmentationModel, "encode_image")
-        outside = inputs(samples[5])
-        assert _stack_sizes(calls) == [1]
-        again = inputs(samples[5])
-        assert again[1] is outside[1] and again[2] is outside[2] is not None
-        assert _stack_sizes(calls) == [1]
 
     def test_a_sample_listed_twice_is_encoded_once(self, samples, monkeypatch):
         calls = _count_calls(monkeypatch, SegmentationModel, "encode_image")
@@ -1090,9 +1089,8 @@ class TestPerSampleWork:
         assert len(clicks) == len({id(mask) for mask in clicks}) == n_train + n_val
         if method == "decoder_ft":
             # layer 1 trains: one self-attention per training step and per
-            # validation prediction, plus the stage's first miss, whose taped
-            # prefix gives the tape's verdict and whose validation chunk then
-            # decodes from the embeddings the memo filled
+            # validation prediction, plus the memo's probe, whose taped prefix
+            # gives the tape's verdict and is dropped
             assert len(attended) == epochs * n_train + (epochs + 1) * n_val + 1
             return
         assert len(attended) == n_train + n_val

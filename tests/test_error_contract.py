@@ -13,6 +13,7 @@ stays fast.
 
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from segadapt.errors import (
     ValidationError,
 )
 from segadapt.model import ModelConfig, SegmentationModel
-from segadapt.params import Init, ParameterRegistry
+from segadapt.params import MAX_ELEMENTS, Init, ParameterRegistry
 
 DOCUMENTED = (ValidationError, FormatError, DimensionError, ContractError, IntegrityError)
 FUZZ = settings(
@@ -328,6 +329,66 @@ def test_cli_rejects_a_mutated_manifest_with_exit_one_or_two(dataset, tmp_path, 
     (root / MANIFEST_NAME).write_bytes(raw)
     argv = ["eval", "--checkpoint", str(tmp_path / "absent.sdck"), "--data", str(root), "--domain", "source"]
     _exits_cleanly(argv, capsys)
+
+
+# -- nothing to run, or too much to build ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def empty_splits(dataset):
+    """A copy of the dataset whose source_val and target_test list no
+    samples, with a checkpoint beside it that eval and ttda would accept."""
+    root = dataset.parent / "empty"
+    shutil.copytree(dataset, root)
+    doc = json.loads((root / MANIFEST_NAME).read_bytes())
+    for split in ("source_val", "target_test"):
+        doc["splits"][split].update(count=0, volumes={})
+    (root / MANIFEST_NAME).write_bytes(_json_bytes(doc))
+    model = SegmentationModel(ModelConfig())
+    save_checkpoint(root / "start.sdck", dump_bytes(model.registry), "full_ft", model.cfg, None, None, 0)
+    return root
+
+
+def _config(tmp_path, doc) -> str:
+    path = tmp_path / "run.json"
+    path.write_bytes(_json_bytes(doc))
+    return str(path)
+
+
+HUGE_MODEL = {"model": {"enc_dim": 1 << 20}}  # 4 TiB of parameter values
+# argv from (the dataset with empty splits, the intact one, a scratch directory)
+EMPTY_OR_HUGE = {
+    "eval an empty split": lambda empty, data, tmp: [
+        "eval", "--checkpoint", str(empty / "start.sdck"), "--data", str(empty), "--domain", "target",
+        "--report", str(tmp / "report.json"),
+    ],
+    "ttda an empty split": lambda empty, data, tmp: [
+        "ttda", "--checkpoint", str(empty / "start.sdck"), "--data", str(empty), "--config", _config(tmp, {}),
+        "--report", str(tmp / "report.json"),
+    ],
+    "train on an empty split": lambda empty, data, tmp: [
+        "train", "--config", _config(tmp, {}), "--data", str(empty), "--out", str(tmp / "out"),
+    ],
+    "paramcount a huge model": lambda empty, data, tmp: ["paramcount", "--config", _config(tmp, HUGE_MODEL)],
+    "train a huge model": lambda empty, data, tmp: [
+        "train", "--config", _config(tmp, HUGE_MODEL), "--data", str(data), "--out", str(tmp / "out"),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_OR_HUGE))
+def test_cli_refuses_an_empty_split_or_a_huge_model_with_one_line(empty_splits, dataset, tmp_path, capsys, case):
+    # No row may allocate anything near the cap on the model's size.
+    tracemalloc.start()
+    try:
+        code = main(EMPTY_OR_HUGE[case](empty_splits, dataset, tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert ("lists no samples" if case.endswith("empty split") else "model too large") in err
+    assert peak < MAX_ELEMENTS * 4
 
 
 # -- report fragments -------------------------------------------------------------------
