@@ -15,6 +15,7 @@ not reproduce.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -570,21 +571,30 @@ def run_ttda(
     trained = {p.name: p.tensor.data.copy() for p in model.registry.trainable_parameters()}
 
     records = []
-    for run in _volume_runs(samples):
-        # Memos live for one volume: a sample's positive and negatives are
-        # slices of its own volume.  Every slice's unadapted forward runs
-        # before any sample adapts, so all run under the reference weights.
-        inputs = _frozen_inputs(model, settings.seed, run)
-        unadapted = {(s.volume_id, s.slice_index): _unadapted(model, inputs, s) for s in run}
-        for s in run:
-            records.append(_ttda_sample(model, s, cfg, inputs, unadapted))
-            restore(model.registry, trained, strict=False)
-            difference = first_difference(model.registry, reference)
-            if difference is not None:
-                raise IntegrityError(
-                    f"weights after restoring sample (volume {s.volume_id}, slice "
-                    f"{s.slice_index}) differ from the checkpoint in {difference}"
-                )
+    # The tape is freed by reference count, so the samples leave the cyclic
+    # collector nothing to find (a 100-sample call: 3 objects).  It is paused
+    # for the loop: each pass it would run lands on one sample's latency.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for run in _volume_runs(samples):
+            # Memos live for one volume: a sample's positive and negatives are
+            # slices of its own volume.  Every slice's unadapted forward runs
+            # before any sample adapts, so all run under the reference weights.
+            inputs = _frozen_inputs(model, settings.seed, run)
+            unadapted = {(s.volume_id, s.slice_index): _unadapted(model, inputs, s) for s in run}
+            for s in run:
+                records.append(_ttda_sample(model, s, cfg, inputs, unadapted))
+                restore(model.registry, trained, strict=False)
+                difference = first_difference(model.registry, reference)
+                if difference is not None:
+                    raise IntegrityError(
+                        f"weights after restoring sample (volume {s.volume_id}, slice "
+                        f"{s.slice_index}) differ from the checkpoint in {difference}"
+                    )
+    finally:
+        if collecting:
+            gc.enable()
 
     before = [r["iou_before"] for r in records]
     after = [r["iou_after"] for r in records]

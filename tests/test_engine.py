@@ -697,6 +697,30 @@ class TestTTDA:
         assert before_step.count("no_grad decode") == len(samples)
         assert len(events) - events.count("step") == len(samples) * (cfg.ttda.iterations + 2)
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_collector_is_paused_per_sample_and_left_as_found(self, workspace, monkeypatch, enabled):
+        seen = []
+        real_sample = engine._ttda_sample
+
+        def sample(*args):
+            seen.append(gc.isenabled())
+            return real_sample(*args)
+
+        monkeypatch.setattr(engine, "_ttda_sample", sample)
+        cfg = replace(workspace["cfg"], ttda=replace(workspace["cfg"].ttda, iterations=1))
+        (gc.enable if enabled else gc.disable)()
+        try:
+            run_ttda(workspace["base"]["checkpoint"], workspace["data"], cfg)
+            assert gc.isenabled() == enabled
+            # A failed audit leaves it as found too.
+            monkeypatch.setattr(engine, "first_difference", lambda registry, reference: "a parameter")
+            with pytest.raises(IntegrityError):
+                run_ttda(workspace["base"]["checkpoint"], workspace["data"], cfg)
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+        assert seen == [False] * (SIZES.target_test + 1)
+
     def test_mean_fields_match_records(self, workspace):
         cfg = replace(workspace["cfg"], ttda=replace(workspace["cfg"].ttda, iterations=1))
         fragment = run_ttda(workspace["base"]["checkpoint"], workspace["data"], cfg)
