@@ -161,7 +161,7 @@ def attach_lora(model: SegmentationModel, cfg: LoraConfig, seed: int = 0) -> Non
     for i in range(model.cfg.enc_depth):
         for target in cfg.targets:
             scope = f"lora.block{i}.{target}"
-            # initialize() below rebinds the values of these same tensors.
+            # initialize() below writes the values into these same tensors.
             down = reg.add(f"{scope}.down", (dim, cfg.rank), Init.lecun()).tensor
             up = reg.add(f"{scope}.up", (cfg.rank, dim), Init.zeros()).tensor
             model.lora_deltas[f"encoder.block{i}.attn.{target}"] = (down, up, cfg.scaling)

@@ -145,10 +145,6 @@ class Sample:
     slice_index: int
     domain: str = ""
 
-    @property
-    def foreground_fraction(self) -> float:
-        return float(self.mask.mean())
-
 
 @dataclass(frozen=True)
 class _VolumeGeometry:
@@ -329,10 +325,6 @@ def sample_from_bytes(blob: bytes, domain: str = "") -> Sample:
 
 def write_sample(path: str | Path, sample: Sample) -> None:
     write_file(path, sample_to_bytes(sample))
-
-
-def read_sample(path: str | Path, domain: str = "") -> Sample:
-    return sample_from_bytes(read_file(path, "sample"), domain=domain)
 
 
 # -- dataset generation ----------------------------------------------------------

@@ -643,6 +643,11 @@ def _train_and_eval(cfg: RunConfig, data_root: Path, out_dir: Path) -> dict:
     }
 
 
+def _seed_summary(values: Sequence[float]) -> tuple[float, float]:
+    """Mean and sample std over seeds (ddof 1, or 0 for a single seed)."""
+    return float(np.mean(values)), float(np.std(values, ddof=1 if len(values) > 1 else 0))
+
+
 def run_ablation(
     cfg: RunConfig,
     data_root: str | Path,
@@ -652,6 +657,8 @@ def run_ablation(
     runner: Callable[[RunConfig, Path, Path], dict] | None = None,
 ) -> dict:
     """The size or placement matrix, each cell trained over the given seeds."""
+    if not seeds:
+        raise ValidationError("an ablation needs at least one seed")
     data_root = Path(data_root)
     out_dir = Path(out_dir)
     runner = runner or _train_and_eval
@@ -679,13 +686,10 @@ def run_ablation(
     summary = {}
     for name, _ in variants:
         rows = [r for r in runs if r["variant"] == name]
-        summary[name] = {
-            "source_iou_mean": float(np.mean([r["source_iou"] for r in rows])),
-            "source_iou_std": float(np.std([r["source_iou"] for r in rows], ddof=1 if len(rows) > 1 else 0)),
-            "target_iou_mean": float(np.mean([r["target_iou"] for r in rows])),
-            "target_iou_std": float(np.std([r["target_iou"] for r in rows], ddof=1 if len(rows) > 1 else 0)),
-            "trainable_params": rows[0]["trainable_params"],
-        }
+        cell = {}
+        for key in ("source_iou", "target_iou"):
+            cell[f"{key}_mean"], cell[f"{key}_std"] = _seed_summary([r[key] for r in rows])
+        summary[name] = {**cell, "trainable_params": rows[0]["trainable_params"]}
     report = {"kind": "ablation", "axis": axis, "runs": runs, "summary": summary}
     write_json(out_dir / f"ablation_{axis}.json", report)
     return report
@@ -797,12 +801,8 @@ def aggregate_report(run_dir: str | Path) -> dict:
     by_cell: dict[tuple[str, str], dict[str, list[float]]] = {}
     for (method, domain, split), group in sorted(grouped.items()):
         seed_means = [f["mean"] for f in group]
-        cell = {
-            "seeds": [f["seed"] for f in group],
-            "seed_means": seed_means,
-            "mean": float(np.mean(seed_means)),
-            "std": float(np.std(seed_means, ddof=1 if len(seed_means) > 1 else 0)),
-        }
+        mean, std = _seed_summary(seed_means)
+        cell = {"seeds": [f["seed"] for f in group], "seed_means": seed_means, "mean": mean, "std": std}
         methods.setdefault(method, {"params": None, "cells": {}})["cells"][f"{domain}_{split}"] = cell
         by_cell.setdefault((domain, split), {})[method] = [v for f in group for v in f["per_image"]]
 

@@ -117,9 +117,6 @@ class PromptSet:
             if label not in (POSITIVE, NEGATIVE):
                 raise ValidationError(f"prompt label must be 0 or 1, got {label}")
 
-    def permuted(self, order: Sequence[int]) -> "PromptSet":
-        return PromptSet([self.points[i] for i in order])
-
 
 Prompts = PromptSet | Sequence[PromptSet]  # one image's prompt set, or a stack's
 

@@ -108,10 +108,9 @@ MAX_ELEMENTS = 10**8
 class ParameterRegistry:
     """Flat mapping of dotted-path names to parameters.
 
-    ``add`` allocates each parameter's one array.  ``initialize`` and
-    ``checkpoint.restore`` write values into it; only AdamW's gather
-    (``_Bucket``) rebinds a ``.data``, to a view of its flat buffer that
-    holds the same values.  A parameter trains exactly when its tensor
+    ``add`` allocates each parameter's one array.  ``initialize``,
+    ``checkpoint.restore`` and ``adamw_step`` write values into it; nothing
+    replaces it.  A parameter trains exactly when its tensor
     ``requires_grad``.
 
     While ``expected`` maps names to shapes (those of a checkpoint the
@@ -225,8 +224,8 @@ class ParameterRegistry:
 
 # Trainable parameters are grouped, in name order, into buckets of at most
 # this many values (a larger parameter gets a bucket of its own).  Each bucket
-# holds its weights and both moments in flat buffers, and the scratch is one
-# bucket long, so no buffer is the size of a full registry.
+# holds both moments in flat buffers, and the scratch is one bucket long, so
+# no buffer is the size of a full registry.
 BUCKET_ELEMENTS = 1 << 16
 
 
@@ -234,8 +233,11 @@ BUCKET_ELEMENTS = 1 << 16
 class AdamWState:
     """Optimizer state: decoupled weight decay, bias-corrected moments.
 
-    ``m`` and ``v`` map parameter names to views into the moment buffers of
-    ``buckets``.
+    The first ``adamw_step`` binds the state to the registry's trainable
+    parameters (``params``).  Each of ``buckets`` is ``(m, v, members)``:
+    the two moments of consecutive parameters in flat buffers, and each
+    member's ``(parameter, offset)`` into them.  ``m`` and ``v`` map
+    parameter names to views of those buffers.
     """
 
     lr: float
@@ -243,64 +245,41 @@ class AdamWState:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.0
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    buckets: list = field(default_factory=list, repr=False, compare=False)
-    scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
+    step: int = field(default=0, init=False)
+    m: dict = field(default_factory=dict, init=False)
+    v: dict = field(default_factory=dict, init=False)
+    params: list | None = field(default=None, init=False, repr=False, compare=False)
+    buckets: list = field(default_factory=list, init=False, repr=False, compare=False)
+    scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        check_number(self.lr, "lr", 0.0)
+        for name in ("beta1", "beta2"):
+            check_number(getattr(self, name), name, 0.0, high=1.0)
+            check_number(1.0 - getattr(self, name), f"1 - {name}", 0.0, above=True)
+        check_number(self.eps, "eps", 0.0, above=True)
+        check_number(self.weight_decay, "weight_decay", 0.0)
 
-class _Bucket:
-    """Consecutive trainable parameters gathered into flat buffers.
-
-    Each parameter's values are copied into ``w`` and its ``.data`` rebound
-    to a view of it; moments carry over by name from ``state.m``/``state.v``
-    (zeros for a new name or shape), which then hold views of ``m``/``v``.
-    """
-
-    def __init__(self, params: list[Parameter], dtype, state: AdamWState):
-        total = sum(p.tensor.data.size for p in params)
-        self.w = np.empty(total, dtype=dtype)
-        self.m = np.zeros(total, dtype=dtype)
-        self.v = np.zeros(total, dtype=dtype)
-        self.members: list[tuple[Parameter, int, np.ndarray]] = []  # (param, offset, bound view)
-        start = 0
+    def _bind(self, params: list[Parameter], dtype) -> None:
+        self.params = params
+        groups, size = [], 0  # each group a list of (parameter, offset)
         for param in params:
-            data = param.tensor.data
-            span = slice(start, start + data.size)
-            self.w[span] = data.reshape(-1)
-            for flat, moments in ((self.m, state.m), (self.v, state.v)):
-                old = moments.get(param.name)
-                if old is not None and old.shape == data.shape:
-                    flat[span] = old.reshape(-1)
-                moments[param.name] = flat[span].reshape(data.shape)
-            param.tensor.data = self.w[span].reshape(data.shape)
-            self.members.append((param, start, param.tensor.data))
-            start += data.size
-
-
-def _gather(params: list[Parameter], dtype, state: AdamWState) -> list[_Bucket]:
-    # One bucket at a time: the arrays a bucket releases can hold the next.
-    buckets, group, size = [], [], 0
-    for param in params:
-        if group and size + param.tensor.data.size > BUCKET_ELEMENTS:
-            buckets.append(_Bucket(group, dtype, state))
-            group, size = [], 0
-        group.append(param)
-        size += param.tensor.data.size
-    if group:
-        buckets.append(_Bucket(group, dtype, state))
-    return buckets
-
-
-def _bound(buckets: list[_Bucket], params: list[Parameter]) -> bool:
-    """Whether ``params`` are exactly the gathered parameters, each ``.data``
-    still the view it was bound to.  ``restore`` and ``initialize`` write
-    into that view, so only a caller that assigns ``.data`` unbinds it."""
-    members = [member for bucket in buckets for member in bucket.members]
-    return len(params) == len(members) and all(
-        p is q and p.tensor.data is view for p, (q, _, view) in zip(params, members)
-    )
+            if not groups or size + param.tensor.data.size > BUCKET_ELEMENTS:
+                groups.append([])
+                size = 0
+            groups[-1].append((param, size))
+            size += param.tensor.data.size
+        for members in groups:
+            last, offset = members[-1]
+            total = offset + last.tensor.data.size
+            m, v = np.zeros(total, dtype=dtype), np.zeros(total, dtype=dtype)
+            for param, offset in members:
+                data = param.tensor.data
+                span = slice(offset, offset + data.size)
+                self.m[param.name], self.v[param.name] = m[span].reshape(data.shape), v[span].reshape(data.shape)
+            self.buckets.append((m, v, members))
+        largest = max((m.size for m, _, _ in self.buckets), default=0)
+        self.scratch = np.empty((2, largest), dtype=dtype)
 
 
 def adamw_step(registry: ParameterRegistry, state: AdamWState) -> None:
@@ -308,18 +287,22 @@ def adamw_step(registry: ParameterRegistry, state: AdamWState) -> None:
 
     Weight decay is applied to the weights directly (never to the gradient),
     so lr == 0 is a strict no-op on parameter values.  A trainable parameter
-    without a gradient of its own shape and dtype is a caller error.
+    without a gradient of its own shape and dtype is a caller error, and so
+    is a trainable set that differs, by identity, order or shape, from the
+    one the state's first step bound; either raises before anything changes.
 
-    The update runs in place, bucket by bucket, with the same float ops in
-    the same order per element as the textbook per-parameter form.
-    Afterwards each trainable ``.data`` is a view into a bucket that later
-    steps overwrite, so a caller wanting a snapshot copies it.  Values that
-    ``restore`` or ``initialize`` write between steps land in that view and
-    keep the buckets and moments.  Parameters are gathered again, keeping
-    their current values, whenever the trainable set changed or a caller
-    assigned a ``.data`` since the last step.
+    The moments update in place, bucket by bucket, and each parameter's new
+    values are written into the array it holds, with the same float ops in
+    the same order per element as the textbook per-parameter form.  Values
+    that ``restore``, ``initialize`` or an assignment to ``.data`` put there
+    between steps are the ones the next step updates.
     """
     params = list(registry.trainable_parameters())
+    if state.params is not None and (
+        len(params) != len(state.params)
+        or any(p is not q or p.tensor.data.shape != state.m[q.name].shape for p, q in zip(params, state.params))
+    ):
+        raise ContractError("the trainable parameters differ from those this AdamW state's first step bound")
     for param in params:
         g = param.tensor.grad
         if g is None:
@@ -329,18 +312,15 @@ def adamw_step(registry: ParameterRegistry, state: AdamWState) -> None:
                 f"gradient of {param.name!r} is {g.dtype}{list(g.shape)}, "
                 f"parameter is {np.dtype(registry.dtype)}{list(param.tensor.data.shape)}"
             )
-    if not _bound(state.buckets, params):
-        state.buckets = _gather(params, registry.dtype, state)
-        largest = max((bucket.w.size for bucket in state.buckets), default=0)
-        state.scratch = np.empty((2, largest), dtype=registry.dtype)
+    if state.params is None:
+        state._bind(params, registry.dtype)
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for bucket in state.buckets:
-        m, v, w = bucket.m, bucket.v, bucket.w
-        g, tmp = state.scratch[0, : w.size], state.scratch[1, : w.size]
-        for param, offset, _ in bucket.members:
+    for m, v, members in state.buckets:
+        g, tmp = state.scratch[0, : m.size], state.scratch[1, : m.size]
+        for param, offset in members:
             grad = param.tensor.grad.reshape(-1)
             g[offset : offset + grad.size] = grad
         # m = beta1 * m + (1 - beta1) * g
@@ -352,17 +332,21 @@ def adamw_step(registry: ParameterRegistry, state: AdamWState) -> None:
         np.multiply(g, g, out=tmp)
         np.multiply(tmp, 1.0 - state.beta2, out=tmp)
         np.add(v, tmp, out=v)
-        if state.weight_decay:
-            # w = w - lr * weight_decay * w
-            np.multiply(w, state.lr * state.weight_decay, out=tmp)
-            np.subtract(w, tmp, out=w)
-        # w = w - lr * (m / bc1) / (sqrt(v / bc2) + eps), g now scratch
+        # tmp = lr * (m / bc1) / (sqrt(v / bc2) + eps), g then free
         np.divide(m, bc1, out=tmp)
         np.multiply(tmp, state.lr, out=tmp)
         np.divide(v, bc2, out=g)
         np.sqrt(g, out=g)
         np.add(g, state.eps, out=g)
         np.divide(tmp, g, out=tmp)
-        np.subtract(w, tmp, out=w)
+        for param, offset in members:
+            w = param.tensor.data
+            span = slice(offset, offset + w.size)
+            if state.weight_decay:
+                # w = w - lr * weight_decay * w
+                decay = g[span].reshape(w.shape)
+                np.multiply(w, state.lr * state.weight_decay, out=decay)
+                np.subtract(w, decay, out=w)
+            np.subtract(w, tmp[span].reshape(w.shape), out=w)
     for param in params:
         param.tensor.grad = None

@@ -517,6 +517,36 @@ class TestAttachMethod:
             attach_method(SegmentationModel(cfg.model), "prompt_tuning", cfg.adapter, cfg.lora)
 
 
+class TestOneArrayPerParameter:
+    """Training and TTDA write every value into the array ``add`` allocated."""
+
+    @pytest.fixture
+    def arrays(self, monkeypatch):
+        held = []
+        original = ParameterRegistry.add
+
+        def recording(registry, *args, **kwargs):
+            param = original(registry, *args, **kwargs)
+            held.append((param.tensor, param.tensor.data))
+            return param
+
+        monkeypatch.setattr(ParameterRegistry, "add", recording)
+        return held
+
+    @pytest.mark.parametrize("method, weight_decay", [("full_ft", 0.05), ("sam_da_dec", 0.0)])
+    def test_training(self, workspace, tmp_path, arrays, method, weight_decay):
+        cfg = workspace["cfg"]
+        cfg = replace(cfg, train=replace(cfg.train, method=method, epochs=1, seed=0, max_train_samples=8,
+                                         weight_decay=weight_decay, init_from=workspace["base"]["checkpoint"]))
+        train_supervised(cfg, workspace["data"], tmp_path / "run")
+        assert arrays and all(tensor.data is array for tensor, array in arrays)
+
+    def test_ttda(self, workspace, arrays):
+        cfg = replace(workspace["cfg"], ttda=replace(workspace["cfg"].ttda, iterations=2))
+        run_ttda(workspace["base"]["checkpoint"], workspace["data"], cfg)
+        assert arrays and all(tensor.data is array for tensor, array in arrays)
+
+
 class TestTTDA:
     def test_entropy_improved_convention(self):
         assert entropy_improved(0.1, 0.05)
@@ -1264,6 +1294,24 @@ class TestAblation:
         decoder = report["summary"]["decoder"]
         assert decoder["source_iou_mean"] == pytest.approx(0.3)
         assert decoder["target_iou_mean"] == pytest.approx(0.15)
+        assert decoder["source_iou_std"] == pytest.approx(0.1 * 2**0.5)  # ddof 1 over two seeds
+        assert decoder["target_iou_std"] == pytest.approx(0.05 * 2**0.5)
+
+    def test_a_single_seed_has_zero_spread(self, workspace, tmp_path):
+        def stub(run_cfg, data_root, out_dir):
+            return {"source_iou": 0.6, "target_iou": 0.3, "trainable_params": 5}
+
+        report = run_ablation(workspace["cfg"], workspace["data"], "placement", tmp_path, seeds=(4,), runner=stub)
+        assert report["summary"]["encoder"] == {
+            "source_iou_mean": 0.6, "source_iou_std": 0.0, "target_iou_mean": 0.3, "target_iou_std": 0.0,
+            "trainable_params": 5,
+        }
+
+    def test_no_seeds_refused_before_any_run(self, workspace, tmp_path):
+        calls = []
+        with pytest.raises(ValidationError, match="at least one seed"):
+            run_ablation(workspace["cfg"], workspace["data"], "size", tmp_path, seeds=(), runner=calls.append)
+        assert calls == [] and not any(tmp_path.iterdir())
 
     def test_unknown_axis(self, workspace, tmp_path):
         with pytest.raises(ValidationError, match="axis"):

@@ -111,7 +111,7 @@ class TestPrompts:
     def test_prompt_permutation_invariance(self):
         model = tiny_model()
         base = model.predict(sample_image(), PROMPTS)
-        shuffled = model.predict(sample_image(), PROMPTS.permuted([2, 0, 1]))
+        shuffled = model.predict(sample_image(), PromptSet([PROMPTS.points[i] for i in (2, 0, 1)]))
         np.testing.assert_allclose(shuffled.logits, base.logits, atol=1e-5)
         assert abs(shuffled.iou_pred - base.iou_pred) <= 1e-6
 

@@ -117,7 +117,7 @@ def test_adamw_step_refuses_with_a_documented_error_and_changes_nothing(data):
         AdapterConfig(prompt_dim=8, key_dim=4, value_dim=4), LoraConfig(rank=2),
     )
     state = AdamWState(lr=1e-2, weight_decay=data.draw(st.sampled_from((0.0, 0.1))))
-    if data.draw(st.booleans()):  # buckets already gathered by a valid step
+    if data.draw(st.booleans()):  # state already bound by a valid step
         reg = model.registry
         _set_grads(model, {p.name: np.ones(p.tensor.shape, dtype=reg.dtype) for p in reg.trainable_parameters()})
         adamw_step(reg, state)

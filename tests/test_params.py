@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from segadapt.config import default_config
 from segadapt.engine import attach_method
 from segadapt.errors import ContractError, ValidationError
 from segadapt.model import SegmentationModel
-from segadapt.params import BUCKET_ELEMENTS, _bound
+from segadapt.params import BUCKET_ELEMENTS
 
 
 def make_registry(order):
@@ -194,6 +196,29 @@ class TestAdamW:
         adamw_step(reg, state)
         assert float(reg.get("w").data) == pytest.approx(2.0 - 0.1 * 0.25 * 2.0, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("lr", float("nan")),
+            ("lr", -1.0),
+            ("beta1", -0.1),
+            ("beta1", 1.0),
+            ("beta2", 1.0),
+            ("beta2", float("inf")),
+            ("eps", 0.0),
+            ("weight_decay", float("inf")),
+            ("weight_decay", -0.1),
+        ],
+    )
+    def test_hyperparameter_out_of_range_refused(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            AdamWState(**{"lr": 0.1, name: value})
+
+    def test_only_the_five_hyperparameters_are_constructor_fields(self):
+        assert [f.name for f in fields(AdamWState) if f.init] == ["lr", "beta1", "beta2", "eps", "weight_decay"]
+        state = AdamWState(lr=0.0, beta1=0.0, beta2=0.0)  # the edges each rule keeps
+        assert (state.step, state.m, state.v) == (0, {}, {})
+
     def test_missing_grad_names_parameter(self):
         reg = self._scalar_registry()
         with pytest.raises(ContractError, match="'w'"):
@@ -305,29 +330,30 @@ class TestFlatAdamW:
             reference_step(weights, grads, m, v, step, 1e-2, 0.01)
             assert all(same_bits(reg.get(n).data, weights[n]) for n in trained)
 
-    def test_a_restore_between_steps_keeps_the_buckets_bound(self):
+    def test_a_restore_between_steps_keeps_the_arrays_and_the_moments(self):
         reg = model_registry("sam_da_dec")
         params = list(reg.trainable_parameters())
         trained = [p.name for p in params]
+        arrays = [p.tensor.data for p in params]
         weights = {n: reg.get(n).data.copy() for n in trained}
         state = AdamWState(lr=1e-2, weight_decay=0.01)
         m, v = {}, {}
         rng = np.random.default_rng(11)
         for step in range(1, 6):
             if step == 3:  # new values for every other trained parameter
-                buckets, views = state.buckets, [p.tensor.data for p in params]
+                buckets, moments = state.buckets, [(state.m[n], state.v[n]) for n in trained]
                 values = {n: rng.standard_normal(weights[n].shape).astype(np.float32) for n in trained[::2]}
                 restore(reg, values, strict=False)
                 weights.update((n, value.copy()) for n, value in values.items())
-                assert all(p.tensor.data is view for p, view in zip(params, views))
-                assert _bound(state.buckets, params)
             grads = self._grads(reg, rng)
             for name, g in grads.items():
                 reg.get(name).grad = g
             adamw_step(reg, state)
             reference_step(weights, grads, m, v, step, 1e-2, 0.01)
+            assert all(p.tensor.data is array for p, array in zip(params, arrays))
             if step >= 3:
                 assert state.buckets is buckets
+                assert all(state.m[n] is a and state.v[n] is b for n, (a, b) in zip(trained, moments))
             assert all(same_bits(reg.get(n).data, weights[n]) for n in trained)
             assert all(same_bits(state.m[n], m[n]) and same_bits(state.v[n], v[n]) for n in trained)
 
@@ -339,9 +365,52 @@ class TestFlatAdamW:
         state = AdamWState(lr=1e-3)
         adamw_step(reg, state)
         largest = max(p.tensor.data.size for p in reg.trainable_parameters())
-        longest = max(max(bucket.w.size, bucket.m.size, bucket.v.size) for bucket in state.buckets)
+        longest = max(max(m.size, v.size) for m, v, _ in state.buckets)
         assert state.scratch.shape[1] == longest <= max(BUCKET_ELEMENTS, largest)
         assert 10 * longest < reg.param_count(trainable_only=True)
+
+    @pytest.mark.parametrize("change", ["freeze", "unfreeze", "add", "reshape"])
+    def test_a_changed_trainable_set_is_refused_and_changes_nothing(self, change):
+        reg = model_registry("sam_da_dec")
+        rng = np.random.default_rng(3)
+        state = AdamWState(lr=1e-2, weight_decay=0.01)
+        for _ in range(2):
+            for name, g in self._grads(reg, rng).items():
+                reg.get(name).grad = g
+            adamw_step(reg, state)
+        trained = [p.name for p in reg.trainable_parameters()]
+        if change == "freeze":
+            reg.get(trained[0]).requires_grad = False
+        elif change == "unfreeze":
+            reg.get(next(n for n in reg.names() if n not in trained)).requires_grad = True
+        elif change == "add":
+            reg.add("zz.extra", (3,), Init.zeros())
+        else:
+            reg.get(trained[0]).data = reg.get(trained[0]).data.reshape(-1)[:-1].copy()
+        for name, g in self._grads(reg, rng).items():
+            reg.get(name).grad = g
+        values = {n: reg.get(n).data.copy() for n in reg.names()}
+        moments = {n: (state.m[n].copy(), state.v[n].copy()) for n in trained}
+        with pytest.raises(ContractError, match="trainable parameters differ"):
+            adamw_step(reg, state)
+        assert state.step == 2
+        assert all(same_bits(reg.get(n).data, values[n]) for n in reg.names())
+        assert all(same_bits(state.m[n], a) and same_bits(state.v[n], b) for n, (a, b) in moments.items())
+
+    def test_a_non_contiguous_array_is_updated_where_it_is(self):
+        reg = make_registry(["alpha.weight"])
+        param = reg.param("alpha.weight")
+        param.tensor.data = np.asfortranarray(param.tensor.data)
+        array, weights = param.tensor.data, {"alpha.weight": param.tensor.data.copy()}
+        state, m, v = AdamWState(lr=0.1, weight_decay=0.1), {}, {}
+        rng = np.random.default_rng(2)
+        for step in range(1, 4):
+            grads = {"alpha.weight": rng.standard_normal((4, 3))}
+            param.tensor.grad = grads["alpha.weight"]
+            adamw_step(reg, state)
+            reference_step(weights, grads, m, v, step, 0.1, 0.1)
+            assert param.tensor.data is array and not array.flags.c_contiguous
+            assert np.array_equal(array, weights["alpha.weight"])
 
     def test_gradient_of_another_shape_names_parameter(self):
         reg = make_registry(["alpha.weight", "beta.bias"])
