@@ -208,8 +208,3 @@ def adapter_param_count(cfg: AdapterConfig, token_dim: int, layer_count: int) ->
         + (token_dim * token_dim + token_dim)
     )
     return per_layer * layer_count
-
-
-def lora_param_count(cfg: LoraConfig, dim: int, blocks: int) -> int:
-    """r * (d_in + d_out) per targeted projection."""
-    return cfg.rank * (dim + dim) * len(cfg.targets) * blocks

@@ -9,9 +9,10 @@ from dataclasses import replace
 from .adapter import AdapterConfig, adapter_param_count, attach_decoder_adapter
 from .config import default_config, load_config
 from .data import generate_dataset
-from .engine import emit_report, evaluate_checkpoint, run_ablation, run_ttda, train_supervised
+from .engine import evaluate_checkpoint, run_ablation, run_ttda, train_supervised
 from .errors import ContractError, DimensionError, FormatError, IntegrityError, ValidationError
 from .model import SegmentationModel
+from .report import emit_report
 
 # The figure the reference implementation reports for its decoder adapter.
 PUBLISHED_ADAPTER_PARAMS = "0.66M"

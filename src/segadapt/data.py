@@ -15,6 +15,7 @@ JSON manifest describing domains, splits, and volume grouping.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field
@@ -37,6 +38,14 @@ _MAX_GEOMETRY_ATTEMPTS = 200
 _FG_FRACTION_RANGE = (0.02, 0.5)
 _MAX_DRIFT_PER_SLICE = 0.8  # pixels
 _RADIUS_WOBBLE = 0.06
+
+# The most pixels one dataset holds, over all five splits (10x the largest
+# dataset the acceptance tests build: 400 samples at 64x64).  One volume must
+# fit it too, which caps image_size.  With the cap on blobs, these bound what
+# gen-data allocates and how long a refused blob-layout search runs.
+MAX_DATASET_PIXELS = 2**24
+MAX_IMAGE_SIZE = math.isqrt(MAX_DATASET_PIXELS // SLICES_PER_VOLUME)
+MAX_BLOBS = 16
 
 
 def _span(value) -> tuple[float, float]:
@@ -75,10 +84,17 @@ class DomainConfig:
             if isinstance(v, list):
                 object.__setattr__(self, field_name, tuple(v))
         check_int(self.image_size, "image_size", 8)
+        if self.image_size > MAX_IMAGE_SIZE:
+            raise ValidationError(
+                f"image_size {self.image_size:,} is over the cap of {MAX_IMAGE_SIZE:,}, at which one "
+                f"{SLICES_PER_VOLUME}-slice volume fills the {MAX_DATASET_PIXELS:,}-pixel dataset cap"
+            )
         check_int(self.seed, f"domain {self.name!r} seed", 0)
         lo, hi = self.num_blobs
         check_int(lo, "num_blobs lower end", 1)
         check_int(hi, "num_blobs upper end", lo)
+        if hi > MAX_BLOBS:
+            raise ValidationError(f"num_blobs upper end {hi:,} is over the cap of {MAX_BLOBS}")
         rlo, rhi = self.blob_radius
         check_number(rlo, "blob_radius lower end", 1.0)
         check_number(rhi, "blob_radius upper end", rlo, high=self.image_size / 3)
@@ -86,8 +102,9 @@ class DomainConfig:
                              ("gamma", self.gamma), ("noise_sigma", self.noise_sigma),
                              ("speckle_sigma", self.speckle_sigma), ("blur_radius", self.blur_radius)):
             a, b = _span(value)
-            check_number(a, f"{label} lower end", 0.0, above=label == "gamma")
-            check_number(b, f"{label} upper end", a, high=1.0 if label.endswith("intensity") else None)
+            high = {"fg_intensity": 1.0, "bg_intensity": 1.0, "blur_radius": self.image_size}.get(label)
+            check_number(a, f"{label} lower end", 0.0, above=label == "gamma", high=high)
+            check_number(b, f"{label} upper end", a, high=high)
 
 
 def default_source_domain(seed: int = 1001) -> DomainConfig:
@@ -378,6 +395,14 @@ def generate_dataset(
             raise ValidationError(
                 f"source and target must share shape statistics; {attr} differs"
             )
+
+    samples = sum(asdict(sizes).values())
+    pixels = samples * source.image_size**2
+    if pixels > MAX_DATASET_PIXELS:
+        raise ValidationError(
+            f"dataset too large: {samples:,} samples of {source.image_size}x{source.image_size} make "
+            f"{pixels:,} pixels, over the cap of {MAX_DATASET_PIXELS:,}"
+        )
 
     root = Path(root)
     next_seed = 0

@@ -50,14 +50,13 @@ class ModelConfig:
     dec_dim: int = 64
     dec_depth: int = 2
     dec_heads: int = 2
-    num_mask_tokens: int = 1
     mlp_ratio: int = 4
     seed: int = 0
 
     def __post_init__(self):
         # Sizes first: the divisibility checks below divide by them.
         for name in ("image_size", "patch_size", "enc_dim", "enc_depth", "enc_heads", "dec_dim",
-                     "dec_depth", "dec_heads", "num_mask_tokens", "mlp_ratio"):
+                     "dec_depth", "dec_heads", "mlp_ratio"):
             check_int(getattr(self, name), name, 1)
         check_int(self.seed, "model seed", 0)
         if self.patch_size < 2 or self.patch_size & (self.patch_size - 1):
@@ -77,8 +76,6 @@ class ModelConfig:
                 f"dec_dim {self.dec_dim} must be divisible by {1 << self.upsample_stages} "
                 f"(one channel halving per upsample stage)"
             )
-        if self.num_mask_tokens != 1:
-            raise ValidationError("single-mask model: num_mask_tokens must be 1")
 
     @property
     def grid_size(self) -> int:

@@ -1,4 +1,4 @@
-"""Paired two-sided t-test.
+"""Seed summaries and the paired two-sided t-test.
 
 The Student-t tail comes from ``scipy.special.stdtr``; ``scipy.stats`` is
 not imported, since loading it costs about half a second.
@@ -14,6 +14,11 @@ import numpy as np
 from scipy.special import stdtr
 
 from .errors import ValidationError
+
+
+def seed_summary(values: Sequence[float]) -> tuple[float, float]:
+    """Mean and sample std over seeds (ddof 1, or 0 for a single seed)."""
+    return float(np.mean(values)), float(np.std(values, ddof=1 if len(values) > 1 else 0))
 
 
 def student_t_two_sided_p(t: float, dof: int) -> float:

@@ -73,6 +73,12 @@ class TestStrictness:
         with pytest.raises(ValidationError, match="unknown TrainSettings keys"):
             config_from_dict({"train": {"learning_rate": 0.1}})
 
+    def test_removed_model_key(self):
+        # ModelConfig once had num_mask_tokens: a config, or a checkpoint
+        # sidecar (read by the same overlay), that still names it is refused.
+        with pytest.raises(ValidationError, match="unknown ModelConfig keys: num_mask_tokens"):
+            config_from_dict({"model": {"num_mask_tokens": 1}})
+
     def test_unknown_data_key(self):
         with pytest.raises(ValidationError, match="unknown data keys"):
             config_from_dict({"data": {"domains": {}}})

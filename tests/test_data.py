@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from segadapt.data import (
+    MAX_BLOBS,
+    MAX_DATASET_PIXELS,
+    MAX_IMAGE_SIZE,
     SLICES_PER_VOLUME,
     DomainConfig,
     Sample,
@@ -71,6 +74,19 @@ class TestGeneration:
     def test_invalid_domain_rejected(self, overrides):
         with pytest.raises(ValidationError):
             DomainConfig(name="bad", **overrides)
+
+    def test_each_size_cap_admits_its_own_value_and_refuses_one_more(self, tmp_path):
+        DomainConfig(name="edge", image_size=MAX_IMAGE_SIZE, blur_radius=MAX_IMAGE_SIZE, num_blobs=(1, MAX_BLOBS))
+        for overrides in ({"image_size": MAX_IMAGE_SIZE + 1}, {"blur_radius": 65}, {"num_blobs": (1, MAX_BLOBS + 1)}):
+            with pytest.raises(ValidationError, match="cap|<= 64"):
+                DomainConfig(name="bad", **overrides)
+        # One volume past the pixel cap is refused before anything is written;
+        # the other four splits hold one volume each.
+        fitting = MAX_DATASET_PIXELS // (SLICES_PER_VOLUME * 64 * 64)
+        sizes = SplitSizes(SLICES_PER_VOLUME * (fitting - 3), 10, 10, 10, 10)
+        with pytest.raises(ValidationError, match="dataset too large"):
+            generate_dataset(tmp_path / "d", sizes=sizes)
+        assert not (tmp_path / "d").exists()
 
     def test_degradation_free_image_is_piecewise_constant(self):
         dom = DomainConfig(

@@ -1,8 +1,9 @@
 """The quick demos run to completion against the package in this checkout.
 
-Each runs with numpy's RuntimeWarnings as errors, as the tests themselves do
-(pytest's ``filterwarnings`` does not reach a subprocess).  Demos 05 and 06
-train and adapt full models and take minutes, so they stay out.
+Each runs with RuntimeWarnings, DeprecationWarnings and FutureWarnings as
+errors, as the tests themselves do (pytest's ``filterwarnings`` does not reach
+a subprocess).  Demos 05 and 06 train and adapt full models and take minutes,
+so they stay out.
 """
 
 import os
@@ -24,7 +25,10 @@ def test_the_four_quick_demos_are_found():
 def test_demo_exits_cleanly(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / demo)],
+        [
+            sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+            "-W", "error::FutureWarning", str(ROOT / "demos" / demo),
+        ],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr

@@ -23,9 +23,7 @@ from segadapt.engine import (
     ABLATION_SIZES,
     ENTROPY_FLOOR,
     EvalResult,
-    aggregate_report,
     attach_method,
-    emit_report,
     entropy_improved,
     evaluate_checkpoint,
     evaluate_model,
@@ -604,10 +602,11 @@ class TestTTDA:
             assert record["entropy_after"] == record["entropy_before"]
 
     def test_lambda_zero_runs_only_the_unadapted_decodes(self, workspace, monkeypatch):
-        # With all weights zero no forward beyond each slice's unadapted one
-        # runs.  The records equal those of a run that does take the taped
-        # forward and then finds no loss term (contrastive weight only, no
-        # negative in reach).
+        # No forward beyond each slice's unadapted one runs, both with all
+        # weights zero and when the only nonzero weight is the contrastive
+        # one and no negative is in reach: either way no weighted term
+        # applies, which is decided before the loop.  The two runs' records
+        # are equal.
         samples = load_split(workspace["data"], load_manifest(workspace["data"]), "target_test")
         assert len(samples) == 10 and len({s.volume_id for s in samples}) == 1
         ttda = replace(workspace["cfg"].ttda, lambda_entropy=0.0, lambda_proximity=0.0)
@@ -622,10 +621,36 @@ class TestTTDA:
                 fragments.append(run_ttda(workspace["base"]["checkpoint"], workspace["data"], cfg))
             decodes.append(len(calls))
         zero, termless = fragments
-        assert decodes == [10, 20]
+        assert decodes == [10, 10]
         assert zero["per_sample"] == termless["per_sample"]
         assert zero["mean_iou_after"] == zero["mean_iou_before"] == termless["mean_iou_before"]
         assert zero["entropy_improved_fraction"] == 0.0
+
+    def test_a_zero_contrastive_weight_builds_no_contrastive_loss(self, workspace, monkeypatch):
+        # At the default offsets every slice of the 10-slice volume has a
+        # positive and negatives: with a zero weight their loss is never
+        # built.  The records equal those of a run whose contrastive weight is
+        # nonzero but finds no negative 10 slices away.
+        real = engine.slice_contrastive_loss
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "slice_contrastive_loss", counting)
+        ttda = replace(workspace["cfg"].ttda, iterations=2)
+        zero, unreachable = (
+            run_ttda(workspace["base"]["checkpoint"], workspace["data"], replace(workspace["cfg"], ttda=settings))
+            for settings in (
+                replace(ttda, lambda_contrastive=0.0),
+                replace(ttda, lambda_contrastive=0.1, negative_min_offset=10),
+            )
+        )
+        assert calls == []
+        assert zero["count"] == SIZES.target_test
+        assert zero["per_sample"] == unreachable["per_sample"]
+        assert any(r["entropy_after"] != r["entropy_before"] for r in zero["per_sample"])
 
     def test_restore_verification_catches_drift(self, workspace, monkeypatch):
         import segadapt.engine as engine
@@ -1316,85 +1341,3 @@ class TestAblation:
     def test_unknown_axis(self, workspace, tmp_path):
         with pytest.raises(ValidationError, match="axis"):
             run_ablation(workspace["cfg"], workspace["data"], "depth", tmp_path, runner=lambda *a: {})
-
-
-def _eval_fragment(method, seed, domain, scores, path):
-    doc = {
-        "kind": "eval",
-        "method": method,
-        "seed": seed,
-        "eval_seed": seed,
-        "domain": domain,
-        "split": "test",
-        "count": len(scores),
-        "per_image": scores,
-        "mean": float(np.mean(scores)),
-        "std": float(np.std(scores)),
-        "checkpoint": "x.sdck",
-    }
-    path.write_text(json.dumps(doc))
-    return doc
-
-
-class TestReport:
-    def _populate(self, root):
-        root.mkdir(exist_ok=True)
-        _eval_fragment("alpha", 0, "target", [0.5, 0.6, 0.7], root / "e1.json")
-        _eval_fragment("alpha", 1, "target", [0.6, 0.7, 0.8], root / "e2.json")
-        _eval_fragment("beta", 0, "target", [0.4, 0.5, 0.6], root / "e3.json")
-        _eval_fragment("beta", 1, "target", [0.3, 0.4, 0.5], root / "e4.json")
-        (root / "train.json").write_text(
-            json.dumps(
-                {
-                    "kind": "train", "method": "alpha", "seed": 0,
-                    "loss_curve": [1.0], "val_curve": [0.1, 0.2], "best_val_iou": 0.2,
-                    "trainable_params": 10, "total_params": 100,
-                    "checkpoint": "x.sdck", "config": {},
-                }
-            )
-        )
-
-    def test_aggregate_means_over_seeds(self, tmp_path):
-        self._populate(tmp_path)
-        report = aggregate_report(tmp_path)
-        cell = report["methods"]["alpha"]["cells"]["target_test"]
-        assert cell["mean"] == pytest.approx(np.mean([0.6, 0.7]))
-        assert cell["seeds"] == [0, 1]
-        assert report["methods"]["alpha"]["params"] == (10, 100)
-
-    def test_t_test_between_methods(self, tmp_path):
-        self._populate(tmp_path)
-        report = aggregate_report(tmp_path)
-        assert len(report["t_tests"]) == 1
-        t = report["t_tests"][0]
-        assert t["methods"] == ["alpha", "beta"]
-        assert t["dof"] == 5
-        assert t["t"] > 0  # alpha scores above beta everywhere
-
-    def test_table_renders(self, tmp_path):
-        self._populate(tmp_path)
-        text = emit_report(tmp_path, fmt="table")
-        assert "alpha" in text and "target_test IoU" in text
-        assert "paired t-tests" in text
-
-    def test_json_format_parses(self, tmp_path):
-        self._populate(tmp_path)
-        doc = json.loads(emit_report(tmp_path, fmt="json"))
-        assert doc["fragments"] == 5
-
-    def test_tampered_mean_rejected(self, tmp_path):
-        self._populate(tmp_path)
-        doc = json.loads((tmp_path / "e1.json").read_text())
-        doc["mean"] += 0.01
-        (tmp_path / "e1.json").write_text(json.dumps(doc))
-        with pytest.raises(IntegrityError, match="does not reproduce"):
-            aggregate_report(tmp_path)
-
-    def test_empty_dir_rejected(self, tmp_path):
-        with pytest.raises(ValidationError, match="no run fragments"):
-            aggregate_report(tmp_path)
-
-    def test_unknown_format(self, tmp_path):
-        self._populate(tmp_path)
-        with pytest.raises(ValidationError, match="format"):
-            emit_report(tmp_path, fmt="yaml")

@@ -356,39 +356,64 @@ def _config(tmp_path, doc) -> str:
 
 
 HUGE_MODEL = {"model": {"enc_dim": 1 << 20}}  # 4 TiB of parameter values
-# argv from (the dataset with empty splits, the intact one, a scratch directory)
+
+
+def _both_domains(**fields) -> dict:
+    return {"data": {"source": fields, "target": fields}}
+
+
+# argv from (the dataset with empty splits, the intact one, a scratch
+# directory), and what the one error line says
 EMPTY_OR_HUGE = {
-    "eval an empty split": lambda empty, data, tmp: [
+    "eval an empty split": (lambda empty, data, tmp: [
         "eval", "--checkpoint", str(empty / "start.sdck"), "--data", str(empty), "--domain", "target",
         "--report", str(tmp / "report.json"),
-    ],
-    "ttda an empty split": lambda empty, data, tmp: [
+    ], "lists no samples"),
+    "ttda an empty split": (lambda empty, data, tmp: [
         "ttda", "--checkpoint", str(empty / "start.sdck"), "--data", str(empty), "--config", _config(tmp, {}),
         "--report", str(tmp / "report.json"),
-    ],
-    "train on an empty split": lambda empty, data, tmp: [
+    ], "lists no samples"),
+    "train on an empty split": (lambda empty, data, tmp: [
         "train", "--config", _config(tmp, {}), "--data", str(empty), "--out", str(tmp / "out"),
-    ],
-    "paramcount a huge model": lambda empty, data, tmp: ["paramcount", "--config", _config(tmp, HUGE_MODEL)],
-    "train a huge model": lambda empty, data, tmp: [
+    ], "lists no samples"),
+    "paramcount a huge model": (
+        lambda empty, data, tmp: ["paramcount", "--config", _config(tmp, HUGE_MODEL)], "model too large",
+    ),
+    "train a huge model": (lambda empty, data, tmp: [
         "train", "--config", _config(tmp, HUGE_MODEL), "--data", str(data), "--out", str(tmp / "out"),
-    ],
+    ], "model too large"),
+    "gen-data a huge split": (lambda empty, data, tmp: [
+        "gen-data", "--config", _config(tmp, {"data": {"sizes": {"source_train": 10**12}}}),
+        "--out", str(tmp / "out"),
+    ], "dataset too large"),
+    "gen-data a huge blur": (lambda empty, data, tmp: [
+        "gen-data", "--config", _config(tmp, {"data": {"source": {"blur_radius": 10**9}}}), "--out", str(tmp / "out"),
+    ], "blur_radius lower end must be a finite number >= 0.0 and <= 64"),
+    "gen-data a huge image": (lambda empty, data, tmp: [
+        "gen-data", "--config", _config(tmp, _both_domains(image_size=10**6)), "--out", str(tmp / "out"),
+    ], "image_size 1,000,000 is over the cap of 1,295"),
+    "gen-data huge blob counts": (lambda empty, data, tmp: [
+        "gen-data", "--config", _config(tmp, _both_domains(num_blobs=[1, 10**8])), "--out", str(tmp / "out"),
+    ], "num_blobs upper end 100,000,000 is over the cap of 16"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(EMPTY_OR_HUGE))
 def test_cli_refuses_an_empty_split_or_a_huge_model_with_one_line(empty_splits, dataset, tmp_path, capsys, case):
-    # No row may allocate anything near the cap on the model's size.
+    # No row may allocate anything near the cap on the model's size, and a
+    # refused gen-data writes nothing.
+    argv, message = EMPTY_OR_HUGE[case]
     tracemalloc.start()
     try:
-        code = main(EMPTY_OR_HUGE[case](empty_splits, dataset, tmp_path))
+        code = main(argv(empty_splits, dataset, tmp_path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     out, err = capsys.readouterr()
     assert code == 1 and out == "" and len(err.splitlines()) == 1 and err.startswith("error:"), err
-    assert ("lists no samples" if case.endswith("empty split") else "model too large") in err
+    assert message in err
     assert peak < MAX_ELEMENTS * 4
+    assert not (tmp_path / "out").exists()
 
 
 # -- report fragments -------------------------------------------------------------------

@@ -59,7 +59,6 @@ class TestConfig:
             {"patch_size": 3},  # not a power of two
             {"enc_dim": 130},  # not divisible by heads
             {"dec_dim": 66},  # breaks position code / halvings
-            {"num_mask_tokens": 2},
             {"enc_depth": 0},
         ],
     )
